@@ -1,9 +1,12 @@
 """Periodic continued fractions of sqrt(m) through the integer-only PQa
 recurrence, plus convergents carrying their Pell values x^2 - m*y^2.
 
-The surd state type handles any (P + sqrt(D))/Q internally; only sqrt(m) is
-exposed here (the half-integral unit search in `pell` drives the same state
-machine with P=1, Q=2).
+The period of sqrt(m) comes from one bare-int PQa loop that also keeps the
+Q sequence: the convergents satisfy p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1),
+so `pell` reads Pell values off Q as small integers and builds convergents
+only where it needs them.  `SurdState` is the validated form of one PQa
+state (P + sqrt(D))/Q, for any D; `iter_convergents` yields validated
+convergents with their Pell values.
 """
 
 from __future__ import annotations
@@ -81,24 +84,36 @@ class Convergent:
             raise ValueError("Convergent: numerator and denominator must be coprime")
 
 
-def cf_sqrt(m: int) -> CFExpansion:
-    """Minimal-period continued fraction of sqrt(m) for nonsquare m >= 2.
+def _pqa_period(m: int) -> tuple[int, list[int], list[int]]:
+    """One minimal period of sqrt(m) for nonsquare m >= 2, on bare ints:
+    (a0, [a_1, ..., a_l], [Q_1, ..., Q_l]).
 
-    The period is detected on the full (P, Q) surd state, not on partial
-    quotients: quotient runs can coincide transiently, states cannot.
+    Every Q_j is positive, so a_j = (P_j + a0) // Q_j exactly, and
+    Q_(j+1) = Q_(j-1) + a_j*(P_j - P_(j+1)) needs no division.  The period
+    closes when the full state (P, Q) returns to (P_1, Q_1); partial-quotient
+    runs can coincide transiently, states cannot.
     """
-    root, exact = isqrt(m) if m >= 0 else (0, False)
-    if m < 2 or exact:
-        raise ValueError(f"cf_sqrt: m must be >= 2 and not a perfect square (got {m})")
-    a0, state = SurdState(0, 1, m).step()
-    first = state
-    period = []
+    a0 = isqrt(m)[0]
+    p1, q1 = a0, m - a0 * a0
+    p, q, q_prev = p1, q1, 1
+    quotients, qs = [], []
     while True:
-        a, nxt = state.step()
-        period.append(a)
-        if nxt == first:
-            return CFExpansion(m, a0, tuple(period), len(period))
-        state = nxt
+        a = (p + a0) // q
+        quotients.append(a)
+        qs.append(q)
+        p_next = a * q - p
+        q, q_prev = q_prev + a * (p - p_next), q
+        p = p_next
+        if p == p1 and q == q1:
+            return a0, quotients, qs
+
+
+def cf_sqrt(m: int) -> CFExpansion:
+    """Minimal-period continued fraction of sqrt(m) for nonsquare m >= 2."""
+    if m < 2 or isqrt(m)[1]:
+        raise ValueError(f"cf_sqrt: m must be >= 2 and not a perfect square (got {m})")
+    a0, period, _ = _pqa_period(m)
+    return CFExpansion(m, a0, tuple(period), len(period))
 
 
 def iter_convergents(exp: CFExpansion) -> Iterator[Convergent]:

@@ -35,6 +35,8 @@ FAMILY_IDS = ("F1", "F2", "F3", "F4")
 
 EXCEPTIONAL_SOLUTIONS = ((2, 1), (5, 2))  # x^2 - 7 y^2 = -3, the F4 d=3 member
 
+_PHI_AT_MOST_4 = frozenset({1, 2, 3, 4, 5, 6, 8, 10, 12})  # all n >= 1 with phi(n) <= 4
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -134,7 +136,7 @@ def gen_members(family: str, p_max: int, n_max: int,
                 p_is_prime=is_prime(p),
                 m_is_squarefree=squarefree_core(m)[1],
                 congruence_ok=spec.congruence_ok(p),
-                phi_gt_4=euler_phi(m) > 4,
+                phi_gt_4=m not in _PHI_AT_MOST_4,
             ))
     members.sort(key=lambda mem: (mem.p, mem.n))
     return members

@@ -4,9 +4,12 @@ quadratic fields, closed-form units for the four d^2 + r families
 x^2 - m*y^2 = N.
 
 Solvability certificates are about primitive solutions (coprime x, y); for
-square-free |N| that is every solution.  A NoSolution certificate is a proof:
-either a full two-period convergent scan (|N| < sqrt(m)) or a bounded sweep
-below the classical fundamental-solution height (larger |N|).
+square-free |N| that is every solution.  An empty certificate is a proof:
+either a scan of the PQa Q sequence over one period of Pell values
+(|N| < sqrt(m)) or a bounded sweep below the classical fundamental-solution
+height (larger |N|).  The scan reads p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1)
+as small integers and builds the convergents (p_k, q_k) only up to its last
+hit.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .cfrac import SurdState, cf_sqrt, iter_convergents
+from .cfrac import _pqa_period, cf_sqrt, iter_convergents
 from .intkit import gcd, isqrt, squarefree_core
 
 D2MINUS1 = "D2MINUS1"  # m = d^2 - 1, even d
@@ -150,41 +153,42 @@ def neg_pell(m: int) -> tuple[int, int] | None:
     return conv.numerator, conv.denominator
 
 
-def _half_unit_scan(m: int) -> QuadraticInteger | None:
-    """PQa on (1 + sqrt(m))/2 for m = 1 (mod 4): the first return of Q to 2
-    yields the fundamental unit (G + B*sqrt(m))/2 of the maximal order.
-    Returns None if the state cycle closes without Q = 2 (not expected)."""
-    state = SurdState(1, 2, m)
+def _half_unit_scan(m: int) -> QuadraticInteger:
+    """PQa on (1 + sqrt(m))/2 for square-free m = 1 (mod 4): the first return
+    of Q to 2 yields the fundamental unit (G + B*sqrt(m))/2 of the maximal
+    order.  The principal cycle always contains Q = 2, so a cycle that
+    closes without it is a broken invariant."""
+    root = isqrt(m)[0]
+    p, q = 1, 2
     g_prev, g = -1, 2  # G_{-2} = -P0, G_{-1} = Q0
     b_prev, b = 1, 0   # B_{-2},      B_{-1}
-    seen = set()
+    p1 = q1 = None     # first reduced state; the cycle returns to it
     while True:
-        a, nxt = state.step()
+        a = (p + root) // q  # q > 0: every state after the first is reduced
+        p = a * q - p
+        q = (m - p * p) // q
         g_prev, g = g, a * g + g_prev
         b_prev, b = b, a * b + b_prev
-        if nxt.Q == 2:
+        if q == 2:
             unit = QuadraticInteger.make(g, b, m, 2)
             if abs(unit.norm) != 1:
                 raise ArithmeticError("half-unit scan produced a non-unit")
             return unit
-        key = (nxt.P, nxt.Q)
-        if key in seen:
-            return None
-        seen.add(key)
-        state = nxt
+        if p1 is None:
+            p1, q1 = p, q
+        elif p == p1 and q == q1:
+            raise ArithmeticError("half-unit scan: principal cycle closed without Q = 2")
 
 
 def fundamental_unit(m: int) -> QuadraticInteger:
     """Fundamental unit (> 1) of the ring of integers of Q(sqrt(m)) for
-    square-free m >= 2.  For m = 1 (mod 4) the half-integral search runs
-    first; otherwise the unit comes from the +-1 Pell solutions."""
+    square-free m >= 2.  For m = 1 (mod 4) it comes from the half-integral
+    search; otherwise from the +-1 Pell solutions."""
     if m < 2 or not squarefree_core(m)[1]:
         raise ValueError("fundamental_unit: m must be square-free and >= 2 "
                          "(pass the square-free core)")
     if m % 4 == 1:
-        unit = _half_unit_scan(m)
-        if unit is not None:
-            return unit
+        return _half_unit_scan(m)
     sol = neg_pell(m)
     if sol is None:
         sol = pell_fundamental(m)
@@ -192,8 +196,14 @@ def fundamental_unit(m: int) -> QuadraticInteger:
 
 
 def unit_norm(m: int) -> int:
-    """Norm (+1 or -1) of the fundamental unit of Q(sqrt(m))."""
-    return fundamental_unit(m).norm
+    """Norm (+1 or -1) of the fundamental unit of Q(sqrt(m)) for square-free
+    m >= 2: -1 exactly when the period of sqrt(m) is odd.  That is the norm
+    of the fundamental unit of Z[sqrt(m)], whose unit group has index 1 or 3
+    in that of the maximal order; an odd power keeps the norm."""
+    if m < 2 or not squarefree_core(m)[1]:
+        raise ValueError("unit_norm: m must be square-free and >= 2 "
+                         "(pass the square-free core)")
+    return -1 if cf_sqrt(m).period_length % 2 else 1
 
 
 def rd_unit(family: str, d: int) -> QuadraticInteger:
@@ -259,24 +269,27 @@ def _unit_times(x: int, y: int, m: int, u: int, v: int) -> tuple[int, int]:
 
 def _solve_by_convergents(m: int, N: int) -> PellCertificate:
     # Complete for coprime solutions when N^2 < m: every positive primitive
-    # solution is a convergent, and the pell_value sequence has period l
-    # (l even) or 2l (l odd).  Scanning exactly 2l covers both.
-    exp = cf_sqrt(m)
-    ell = exp.period_length
-    convs = list(islice(iter_convergents(exp), 2 * ell))
-    plus_one = convs[ell - 1] if ell % 2 == 0 else convs[2 * ell - 1]
-    if plus_one.pell_value != 1:
+    # solution is a convergent, and p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1).
+    # The Pell values repeat with period l (l even) or 2l (l odd), and one
+    # such period later each convergent is multiplied by the +1 unit, so a
+    # single value period holds the least positive member of every class.
+    a0, period, qs = _pqa_period(m)
+    ell = len(period)
+    if qs[-1] != 1:  # Q_l = 1 is the +1 unit at index l-1 (l even) or 2l-1 (l odd)
         raise ArithmeticError("solve_pm_N: +1 unit missing from the scan")
-    u, v = plus_one.numerator, plus_one.denominator
+    span = ell if ell % 2 == 0 else 2 * ell
+    target = abs(N)
+    hits = [k for k in range(1 if N > 0 else 0, span, 2) if qs[k % ell] == target]
     found: list[tuple[int, int]] = []
-    for conv in convs:
-        if conv.pell_value != N:
-            continue
-        sol = (conv.numerator, conv.denominator)
-        # drop unit multiples of an earlier hit: same class, larger height
-        if any(_unit_times(x0, y0, m, u, v) == sol for x0, y0 in found):
-            continue
-        found.append(sol)
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    k = 0
+    for hit in hits:
+        while k < hit:
+            a = period[k % ell]
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+            k += 1
+        found.append((p, q))
     return PellCertificate(m, N, tuple(found), 2 * ell, "convergents")
 
 
@@ -343,9 +356,10 @@ def _solve_by_bounded_search(m: int, N: int) -> PellCertificate:
 def solve_pm_N(m: int, N: int) -> PellCertificate:
     """Decide x^2 - m*y^2 = N over coprime positive (x, y), completely.
 
-    For N^2 < m: scans the pell_value of every convergent over two full
-    periods (2l convergents), which classically covers every primitive
-    solution class; the returned solutions are the least positive
+    For N^2 < m: reads the Pell value (-1)^(k+1) * Q_(k+1) of every convergent
+    off the PQa Q sequence over one value period (l terms for even l, 2l for
+    odd l; the certificate records the classical 2l), which covers every
+    primitive solution class; the returned solutions are the least positive
     representative of each class.  For N^2 >= m: falls back to the complete
     bounded sweep below the fundamental-solution height.  Either way, an
     empty certificate is a proof that no coprime solution exists.

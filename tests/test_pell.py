@@ -1,11 +1,13 @@
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pellkit import (QuadraticInteger, brute_force_solve, fundamental_unit,
-                     isqrt, neg_pell, pell_fundamental, period_length,
+from pellkit import (QuadraticInteger, brute_force_solve, cf_sqrt, fundamental_unit,
+                     isqrt, iter_convergents, neg_pell, pell_fundamental, period_length,
                      rd_unit, solve_pm_N, squarefree_core, unit_norm)
-from pellkit.pell import PellCertificate
+from pellkit.pell import PellCertificate, _half_unit_scan
 
 from oracle_utils import primitive_brute_force
 
@@ -213,3 +215,72 @@ def test_norm_is_multiplicative():
 def test_certificate_rejects_wrong_solution():
     with pytest.raises(ValueError):
         PellCertificate(7, -3, ((2, 2),), 8, "convergents")
+
+
+def _reference_convergent_scans(m, targets):
+    # Full two-period scan over validated convergents, dropping +1-unit
+    # multiples of earlier hits: the certificate the Q-sequence scan must match.
+    exp = cf_sqrt(m)
+    ell = exp.period_length
+    convs = list(islice(iter_convergents(exp), 2 * ell))
+    plus_one = convs[ell - 1] if ell % 2 == 0 else convs[2 * ell - 1]
+    assert plus_one.pell_value == 1
+    u, v = plus_one.numerator, plus_one.denominator
+    out = {}
+    for N in targets:
+        found = []
+        for c in convs:
+            if c.pell_value != N:
+                continue
+            sol = (c.numerator, c.denominator)
+            if any((x * u + y * v * m, x * v + y * u) == sol for x, y in found):
+                continue
+            found.append(sol)
+        out[N] = PellCertificate(m, N, tuple(found), 2 * ell, "convergents")
+    return out
+
+
+def _small_targets(m):
+    bound = isqrt(m - 1)[0]
+    return [N for N in range(-bound, bound + 1) if N]
+
+
+def test_q_sequence_scan_matches_full_convergent_scan():
+    for m in range(2, 600):
+        if isqrt(m)[1]:
+            continue
+        targets = _small_targets(m)
+        reference = _reference_convergent_scans(m, targets)
+        for N in targets:
+            assert solve_pm_N(m, N) == reference[N], (m, N)
+
+
+@pytest.mark.parametrize("m, odd", [(100021, True), (100049, True), (100057, True),
+                                    (100001, False), (100003, False)])
+def test_q_sequence_scan_matches_near_1e5(m, odd):
+    assert (period_length(m) % 2 == 1) == odd
+    targets = _small_targets(m)
+    reference = _reference_convergent_scans(m, targets)
+    assert any(reference[N].has_solutions for N in targets)
+    for N in targets:
+        assert solve_pm_N(m, N) == reference[N], (m, N)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3 * 10**4).map(lambda n: squarefree_core(n)[0]).filter(lambda m: m >= 2))
+def test_unit_norm_is_the_fundamental_unit_norm(m):
+    assert unit_norm(m) == fundamental_unit(m).norm
+
+
+def test_unit_norm_rejects_non_squarefree():
+    for bad in (1, 8, 12, 18, 49):
+        with pytest.raises(ValueError):
+            unit_norm(bad)
+
+
+def test_half_unit_scan_always_meets_q_equal_2():
+    for m in range(5, 5000, 4):
+        if not squarefree_core(m)[1]:
+            continue
+        unit = _half_unit_scan(m)
+        assert isinstance(unit, QuadraticInteger) and abs(unit.norm) == 1, m
