@@ -84,28 +84,33 @@ class Convergent:
             raise ValueError("Convergent: numerator and denominator must be coprime")
 
 
-def _pqa_period(m: int) -> tuple[int, list[int], list[int]]:
-    """One minimal period of sqrt(m) for nonsquare m >= 2, on bare ints:
-    (a0, [a_1, ..., a_l], [Q_1, ..., Q_l]).
+def _pqa_period(m: int, p0: int = 0, q0: int = 1) -> tuple[int, list[int], list[int]]:
+    """PQa on (p0 + sqrt(m))/q0 for nonsquare m >= 2, on bare ints, with
+    q0 > 0 dividing m - p0^2 and p0 < sqrt(m) (sqrt(m) itself by default):
+    (a_0, [a_1, ..., a_l], [Q_1, ..., Q_l]) over one minimal period.
 
-    Every Q_j is positive, so a_j = (P_j + a0) // Q_j exactly, and
+    The start has a negative conjugate, so state 1 is reduced and the
+    expansion is purely periodic from there.  Every later Q_j is positive,
+    so a_j = (P_j + isqrt(m)) // Q_j exactly, and
     Q_(j+1) = Q_(j-1) + a_j*(P_j - P_(j+1)) needs no division.  The period
     closes when the full state (P, Q) returns to (P_1, Q_1); partial-quotient
     runs can coincide transiently, states cannot.
     """
-    a0 = isqrt(m)[0]
-    p1, q1 = a0, m - a0 * a0
-    p, q, q_prev = p1, q1, 1
+    root = isqrt(m)[0]
+    a_first = (p0 + root) // q0
+    p1 = a_first * q0 - p0
+    q1 = (m - p1 * p1) // q0
+    p, q, q_prev = p1, q1, q0
     quotients, qs = [], []
     while True:
-        a = (p + a0) // q
+        a = (p + root) // q
         quotients.append(a)
         qs.append(q)
         p_next = a * q - p
         q, q_prev = q_prev + a * (p - p_next), q
         p = p_next
         if p == p1 and q == q1:
-            return a0, quotients, qs
+            return a_first, quotients, qs
 
 
 def cf_sqrt(m: int) -> CFExpansion:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classgroup import class_number
-from .intkit import euler_phi, is_prime, isqrt, squarefree_core
+from .intkit import is_prime, isqrt, squarefree_core
 from .published_tables import TABLE_FAMILY, TABLES
 from .pell import (D2MINUS1, D2MINUS2, D2PLUS2, D2PLUS3, PellCertificate,
                    solve_pm_N)
@@ -136,7 +136,7 @@ def gen_members(family: str, p_max: int, n_max: int,
                 p_is_prime=is_prime(p),
                 m_is_squarefree=squarefree_core(m)[1],
                 congruence_ok=spec.congruence_ok(p),
-                phi_gt_4=m not in _PHI_AT_MOST_4,
+                phi_gt_4=check_yamaguchi_hypothesis(m),
             ))
     members.sort(key=lambda mem: (mem.p, mem.n))
     return members
@@ -169,10 +169,11 @@ def verify_member(member: FamilyMember) -> VerificationReport:
 
 def check_yamaguchi_hypothesis(m: int) -> bool:
     """phi(m) > 4, the gate under which h(m) divides the class number of the
-    degree-phi(4m)/2 real field above it."""
+    degree-phi(4m)/2 real field above it.  Decided by lookup: phi(m) <= 4
+    exactly for the nine m in _PHI_AT_MOST_4, so m is never factorized."""
     if m < 1:
         raise ValueError("check_yamaguchi_hypothesis: m must be positive")
-    return euler_phi(m) > 4
+    return m not in _PHI_AT_MOST_4
 
 
 def class_conclusion(m: int) -> tuple[bool, bool]:

@@ -97,8 +97,11 @@ class PellCertificate:
     """Outcome of deciding x^2 - m*y^2 = target over coprime positive (x, y).
 
     `solutions` lists one least-positive representative per solution class
-    (empty means provably none exist); `scan_length` records how many
-    candidates the completed scan covered; `method` names the scan.
+    (empty means provably none exist); `scan_length` is the length the scan
+    is complete for: the classical two-period length 2l of the convergent
+    scan (which reads only l Pell values when l is even, since the second
+    period repeats the first) or the number of y values swept; `method`
+    names the scan.
     """
 
     m: int
@@ -158,26 +161,18 @@ def _half_unit_scan(m: int) -> QuadraticInteger:
     of Q to 2 yields the fundamental unit (G + B*sqrt(m))/2 of the maximal
     order.  The principal cycle always contains Q = 2, so a cycle that
     closes without it is a broken invariant."""
-    root = isqrt(m)[0]
-    p, q = 1, 2
+    a0, period, qs = _pqa_period(m, 1, 2)
+    if 2 not in qs:
+        raise ArithmeticError("half-unit scan: principal cycle closed without Q = 2")
     g_prev, g = -1, 2  # G_{-2} = -P0, G_{-1} = Q0
     b_prev, b = 1, 0   # B_{-2},      B_{-1}
-    p1 = q1 = None     # first reduced state; the cycle returns to it
-    while True:
-        a = (p + root) // q  # q > 0: every state after the first is reduced
-        p = a * q - p
-        q = (m - p * p) // q
+    for a in [a0] + period[:qs.index(2)]:  # Q_j = 2 takes a_0 .. a_(j-1)
         g_prev, g = g, a * g + g_prev
         b_prev, b = b, a * b + b_prev
-        if q == 2:
-            unit = QuadraticInteger.make(g, b, m, 2)
-            if abs(unit.norm) != 1:
-                raise ArithmeticError("half-unit scan produced a non-unit")
-            return unit
-        if p1 is None:
-            p1, q1 = p, q
-        elif p == p1 and q == q1:
-            raise ArithmeticError("half-unit scan: principal cycle closed without Q = 2")
+    unit = QuadraticInteger.make(g, b, m, 2)
+    if abs(unit.norm) != 1:
+        raise ArithmeticError("half-unit scan produced a non-unit")
+    return unit
 
 
 def fundamental_unit(m: int) -> QuadraticInteger:

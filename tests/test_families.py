@@ -3,7 +3,6 @@ import pytest
 from pellkit import (EXCEPTIONAL_SOLUTIONS, FAMILY_IDS, check_yamaguchi_hypothesis,
                      class_conclusion, euler_phi, family_spec, gen_members,
                      reproduce_table, verify_member)
-from pellkit.families import _PHI_AT_MOST_4
 from pellkit.published_tables import TABLES
 
 
@@ -172,4 +171,4 @@ def test_phi_flag_matches_euler_phi():
         for mem in gen_members(fam, 13, 3, allow_n0=True):
             assert mem.phi_gt_4 == (euler_phi(mem.m) > 4), mem
     for n in range(1, 500):
-        assert (n not in _PHI_AT_MOST_4) == (euler_phi(n) > 4), n
+        assert check_yamaguchi_hypothesis(n) == (euler_phi(n) > 4), n
