@@ -1,19 +1,31 @@
 """Class numbers of real quadratic fields by exact enumeration of reduced
 primitive indefinite binary quadratic forms and their rho-cycles.
 
+The reduced forms of discriminant D are (+-a, b, -+c) with 0 < b < sqrt(D),
+|sqrt(D) - 2a| < b and b^2 - 4ac = D, so b is a square root of D modulo 4a.
+They are enumerated from those roots: for each a <= sqrt(D), factored by a
+smallest-prime-factor sieve, the roots modulo each prime power of 4a
+(Tonelli-Shanks, then Hensel lifting one digit at a time) are combined by
+CRT into the roots modulo 2a, and each root class meets the reduction
+window at most once.  An a with a rootless prime power is skipped before it
+is factored, so the work follows the number of roots, not D.
+
 The cycle count of discriminant D is the narrow class number h+; the wide
 class number follows from the norm of the fundamental unit (h = h+ when the
-norm is -1, h = h+/2 when it is +1).  All sqrt(D) comparisons are done on
-squares in integer arithmetic: a float at the reduction-window boundary can
-silently merge or split cycles.
+norm is -1, h = h+/2 when it is +1).  Cycles are walked on bare (a, b, c)
+tuples; IndefiniteForm validates only at the public boundary.  All sqrt(D)
+comparisons are done on squares in integer arithmetic: a float at the
+reduction-window boundary can silently merge or split cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from math import gcd
 
-from .intkit import gcd, isqrt, squarefree_core
-from .pell import unit_norm
+from .intkit import isqrt, squarefree_core
+from .pell import _unit_norm
 
 
 @dataclass(frozen=True)
@@ -33,7 +45,7 @@ class IndefiniteForm:
             raise ValueError("IndefiniteForm: discriminant mismatch")
         if self.D <= 0 or isqrt(self.D)[1]:
             raise ValueError("IndefiniteForm: discriminant must be positive nonsquare")
-        if gcd(gcd(self.a, self.b), self.c) != 1:
+        if gcd(self.a, self.b, self.c) != 1:
             raise ValueError("IndefiniteForm: form must be primitive")
 
     def is_reduced(self) -> bool:
@@ -48,20 +60,22 @@ class IndefiniteForm:
         return self.a, self.b, self.c
 
 
-def _rho_step(f: IndefiniteForm) -> IndefiniteForm:
-    # Successor (c, b', *) with b' = -b (mod 2|c|), b' placed in the standard
-    # window: (-|c|, |c|] while |c| > sqrt(D), else (sqrt(D) - 2|c|, sqrt(D)).
-    s = isqrt(f.D)[0]
-    c = f.c
+def _rho(a: int, b: int, c: int, D: int, s: int) -> tuple[int, int, int]:
+    # Successor (c, b', *) of (a, b, c), s = isqrt(D), with b' = -b (mod 2|c|)
+    # placed in the standard window: (-|c|, |c|] while |c| > sqrt(D), else
+    # (sqrt(D) - 2|c|, sqrt(D)).  Every reduced form has |c| <= s.
     cabs = abs(c)
     if cabs > s:
-        b2 = (-f.b) % (2 * cabs)
+        b2 = -b % (2 * cabs)
         if b2 > cabs:
             b2 -= 2 * cabs
     else:
-        b2 = s - ((s + f.b) % (2 * cabs))
-    c2 = (b2 * b2 - f.D) // (4 * c)
-    return IndefiniteForm(c, b2, c2, f.D)
+        b2 = s - (s + b) % (2 * cabs)
+    return c, b2, (b2 * b2 - D) // (4 * c)
+
+
+def _rho_step(f: IndefiniteForm) -> IndefiniteForm:
+    return IndefiniteForm(*_rho(f.a, f.b, f.c, f.D, isqrt(f.D)[0]), f.D)
 
 
 def reduce(f: IndefiniteForm) -> IndefiniteForm:
@@ -89,24 +103,108 @@ def _validate_discriminant(D: int) -> int:
     return isqrt(D)[0]
 
 
+def _sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A root of x^2 = n (mod p) for an odd prime p not dividing n, by
+    Tonelli-Shanks; None when n is a non-residue."""
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _reduced_triples(D: int, s: int) -> list[tuple[int, int, int]]:
+    """Every (a, b, c) with a, c > 0 such that (a, b, -c) and (-a, b, c) are
+    reduced primitive forms of discriminant D = b^2 + 4ac, s = isqrt(D); in
+    order of a.
+
+    b^2 = D (mod 4a) depends on b modulo 2a only, so the roots are taken as
+    classes modulo 2a: the CRT product of the classes for the 2-part of a
+    and the roots modulo each odd prime power of a.  The window
+    max(1, s+1-2a, 2a-s) <= b <= s is at most 2a long, so each class gives at
+    most one b.  An a with a rootless prime power is never visited.
+    """
+    spf = list(range(s + 1))  # smallest prime factor
+    for p in range(2, isqrt(s)[0] + 1):
+        if spf[p] == p:
+            for j in range(p * p, s + 1, p):
+                if spf[j] == j:
+                    spf[j] = p
+
+    # roots[q] for q = 1 and each prime power q = p^k <= s: the classes
+    # modulo w*q of the roots of x^2 = D (mod w*w*q), w = 2 when p = 2 and
+    # w = 1 when p is odd.  Each level is Hensel-lifted from the one below by
+    # one p-adic digit.  good[a] = 0 once a prime power of a has no roots.
+    roots = {1: [D & 1]}
+    good = bytearray(b"\x01") * (s + 1)
+    good[0] = 0
+    for p in range(2, s + 1):
+        if spf[p] != p:
+            continue
+        if p == 2:
+            w, q, found = 2, 1, roots[1]
+        elif D % p == 0:
+            w, q, found = 1, p, [0]
+        else:
+            r = _sqrt_mod_prime(D % p, p)
+            w, q, found = 1, p, [] if r is None else [r, p - r]
+        roots[q] = found
+        while found and q * p <= s:
+            step, q = w * q, q * p
+            found = [x for r in found for x in range(r, w * q, step)
+                     if (x * x - D) % (w * w * q) == 0]
+            roots[q] = found
+        if not found:
+            good[q::q] = bytes(len(range(q, s + 1, q)))
+
+    triples = []
+    for a in compress(range(s + 1), good):
+        q = a & -a
+        n, classes, mod = a // q, roots[q], 2 * q
+        while n > 1:
+            p = q = spf[n]
+            n //= p
+            while n % p == 0:
+                n //= p
+                q *= p
+            inv = pow(mod, -1, q)
+            classes = [x + mod * ((y - x) * inv % q) for x in classes for y in roots[q]]
+            mod *= q
+        lo = max(1, s + 1 - 2 * a, 2 * a - s)
+        for r in classes:
+            b = lo + (r - lo) % mod
+            if b <= s:
+                c = (D - b * b) // (4 * a)
+                if gcd(a, b, c) == 1:
+                    triples.append((a, b, c))
+    return triples
+
+
 def reduced_forms(D: int) -> list[IndefiniteForm]:
-    """Every reduced primitive form of discriminant D, by running b over
-    0 < b < sqrt(D) with b = D (mod 2) and factoring (D - b^2)/4 into
-    +-a * c inside the reduction window."""
+    """Every reduced primitive form of discriminant D, sorted by b, then a,
+    with (a, b, -c) before (-a, b, c).  b runs over the square roots of D
+    modulo 4a for each a <= sqrt(D)."""
     s = _validate_discriminant(D)
     forms = []
-    for b in range(2 - D % 2, s + 1, 2):
-        K = (D - b * b) // 4
-        a_lo = max(1, (s + 2 - b) // 2)  # 2a >= s + 1 - b
-        a_hi = (s + b) // 2              # 2a <= s + b
-        for a in range(a_lo, a_hi + 1):
-            if K % a:
-                continue
-            c = K // a
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            forms.append(IndefiniteForm(a, b, -c, D))
-            forms.append(IndefiniteForm(-a, b, c, D))
+    for a, b, c in sorted(_reduced_triples(D, s), key=lambda t: (t[1], t[0])):
+        forms.append(IndefiniteForm(a, b, -c, D))
+        forms.append(IndefiniteForm(-a, b, c, D))
     return forms
 
 
@@ -121,31 +219,45 @@ def is_fundamental_discriminant(D: int) -> bool:
     return q % 4 in (2, 3) and squarefree_core(q)[1]
 
 
+def _narrow_class_number(D: int) -> int:
+    s = isqrt(D)[0]
+    forms = set()
+    for a, b, c in _reduced_triples(D, s):
+        forms.add((a, b, -c))
+        forms.add((-a, b, c))
+    cycles = 0
+    while forms:
+        start = forms.pop()
+        cycles += 1
+        f = _rho(*start, D, s)
+        while f != start:
+            try:
+                forms.remove(f)
+            except KeyError:
+                raise ArithmeticError("narrow_class_number: rho left the reduced "
+                                      "forms") from None
+            f = _rho(*f, D, s)
+    return cycles
+
+
 def narrow_class_number(D: int) -> int:
     """Number of rho-cycles partitioning the reduced forms of the fundamental
     discriminant D (non-fundamental discriminants are a different object and
     are rejected)."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"narrow_class_number: {D} is not a fundamental discriminant")
-    forms = reduced_forms(D)
-    seen: set[tuple[int, int, int]] = set()
-    cycles = 0
-    for f in forms:
-        if f.coefficients() in seen:
-            continue
-        cycles += 1
-        g = f
-        while g.coefficients() not in seen:
-            seen.add(g.coefficients())
-            g = rho(g)
-    return cycles
+    return _narrow_class_number(D)
+
+
+def _discriminant_of(m: int) -> int:
+    return m if m % 4 == 1 else 4 * m
 
 
 def discriminant_of(m: int) -> int:
     """Fundamental discriminant of Q(sqrt(m)): m when m = 1 (mod 4), else 4m."""
     if m < 2 or not squarefree_core(m)[1]:
         raise ValueError("discriminant_of: m must be square-free and >= 2")
-    return m if m % 4 == 1 else 4 * m
+    return _discriminant_of(m)
 
 
 @dataclass(frozen=True)
@@ -171,14 +283,15 @@ def class_number(m: int) -> ClassData:
     """Exact class data of Q(sqrt(m)) for square-free m >= 2.
 
     h_narrow comes from cycle counting alone; h_wide divides it by two
-    exactly when the fundamental unit has norm +1.
+    exactly when the fundamental unit has norm +1.  m is factorized once,
+    here; the helpers below trust it.
     """
     if m < 2 or not squarefree_core(m)[1]:
         raise ValueError("class_number: m must be square-free and >= 2 "
                          "(pass the square-free core)")
-    D = discriminant_of(m)
-    h_plus = narrow_class_number(D)
-    norm = unit_norm(m)
+    D = _discriminant_of(m)
+    h_plus = _narrow_class_number(D)
+    norm = _unit_norm(m)
     if norm == 1:
         if h_plus % 2:
             raise ArithmeticError("class_number: odd narrow class number with a +1 unit")

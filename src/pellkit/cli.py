@@ -146,6 +146,8 @@ def _cmd_solve(args, fmt: str) -> int:
            "scan_length": cert.scan_length, "solutions": [list(s) for s in cert.solutions]}
     if cert.has_solutions:
         human = ", ".join(f"({x},{y})" for x, y in cert.solutions)
+    elif fmt != "human":
+        human = ""  # the note below factorizes |N|, and only human output shows it
     else:
         coprime_note = "" if squarefree_core(abs(n_target))[1] else " [coprime (x, y)]"
         if cert.method == "convergents":

@@ -2,7 +2,7 @@
 is used to check."""
 
 import math
-from math import gcd
+from math import gcd, isqrt
 
 from pellkit import brute_force_solve, discriminant_of, fundamental_unit, pell_fundamental
 
@@ -64,3 +64,39 @@ def analytic_class_number(m: int) -> float:
         if chi:
             total -= chi * math.log(math.sin(math.pi * a / D))
     return total / (2 * math.log(eps))
+
+
+def reference_reduced_forms(D: int) -> list[tuple[int, int, int]]:
+    """Coefficients (a, b, c) of every reduced primitive form of the valid
+    nonsquare discriminant D, by trial division: b runs over
+    0 < b < sqrt(D), b = D (mod 2), and every a in the reduction window
+    that divides (D - b^2)/4 gives (a, b, -c) and then (-a, b, c).  Theta(D)
+    work; sorted by b, then a."""
+    s = isqrt(D)
+    forms = []
+    for b in range(2 - D % 2, s + 1, 2):
+        K = (D - b * b) // 4
+        for a in range(max(1, (s + 2 - b) // 2), (s + b) // 2 + 1):
+            if K % a == 0 and gcd(a, b, K // a) == 1:
+                forms += [(a, b, -(K // a)), (-a, b, K // a)]
+    return forms
+
+
+def reference_narrow_class_number(D: int) -> int:
+    """Number of rho-cycles on reference_reduced_forms(D).  The successor of
+    a reduced (a, b, c) is (c, b', c') with b' = 2|c|*q - b, where
+    q = floor((b + sqrt(D))/2|c|) is the partial quotient of the continued
+    fraction of (b + sqrt(D))/2|c|."""
+    s = isqrt(D)
+    unseen = set(reference_reduced_forms(D))
+    cycles = 0
+    while unseen:
+        cycles += 1
+        a, b, c = unseen.pop()
+        while True:
+            b = 2 * abs(c) * ((b + s) // (2 * abs(c))) - b
+            a, c = c, (b * b - D) // (4 * c)
+            if (a, b, c) not in unseen:
+                break
+            unseen.remove((a, b, c))
+    return cycles

@@ -3,6 +3,8 @@ import pytest
 from pellkit import (ClassData, IndefiniteForm, class_number, discriminant_of,
                      is_fundamental_discriminant, isqrt, narrow_class_number,
                      reduce_form, reduced_forms, rho, squarefree_core)
+from oracle_utils import (analytic_class_number, reference_narrow_class_number,
+                          reference_reduced_forms)
 
 
 def test_discriminant_of_examples():
@@ -104,6 +106,36 @@ def test_rho_permutes_reduced_forms_with_even_cycles():
             assert length % 2 == 0, D
 
 
+def test_reduced_forms_match_trial_division_in_order():
+    # every valid D <= 3000, non-fundamental ones included (p^2 | D, imprimitive
+    # candidates): same forms, same order
+    for D in _valid_discriminants(3000):
+        forms = reduced_forms(D)
+        assert [f.coefficients() for f in forms] == reference_reduced_forms(D), D
+        assert all(f.D == D for f in forms)
+
+
+@pytest.mark.parametrize("D", [
+    1000001,   # 1 (mod 4)
+    2042040,   # 8m, m = 3*5*7*11*13*17
+    4849845,   # 1 (mod 4), 3*5*7*11*13*17*19
+    38798760,  # 8m near 4e7, seven small odd primes
+    39999964,  # 4m near 4e7, m = 3 (mod 4)
+    40000001,  # 1 (mod 4) near 4e7
+])
+def test_narrow_class_number_matches_reference_cycle_count(D):
+    assert is_fundamental_discriminant(D)
+    assert narrow_class_number(D) == reference_narrow_class_number(D)
+
+
+def test_class_number_matches_analytic_formula():
+    # m = 1, 2, 3 (mod 4) up to about 1e5, with h from 1 to 21
+    for m in (23002, 24999, 30011, 65537, 99989, 99991):
+        h = analytic_class_number(m)
+        assert abs(h - round(h)) < 1e-4, m
+        assert class_number(m).h_wide == round(h), m
+
+
 def test_reduce_lands_in_a_cycle():
     for D in (8, 12, 40, 60, 145, 316, 1596):
         cycle_forms = {f.coefficients() for f in reduced_forms(D)}
@@ -126,6 +158,21 @@ def test_class_number_examples():
         class_number(12)
     with pytest.raises(ValueError):
         class_number(1)
+
+
+def test_class_number_factorizes_m_once(monkeypatch):
+    import pellkit.intkit
+    real = pellkit.intkit.factorize
+    calls = []
+
+    def counting(n, trial_bound=None):
+        calls.append(n)
+        return real(n, trial_bound)
+    monkeypatch.setattr(pellkit.intkit, "factorize", counting)
+    for m in (399, 443, 4849845):
+        calls.clear()
+        class_number(m)
+        assert calls == [m]
 
 
 def test_class_data_invariant():

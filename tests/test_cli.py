@@ -37,6 +37,22 @@ def test_solve_no_solution_message_and_exit(capsys):
     assert out == "no solution (complete scan, 4 convergents)\n"
 
 
+def test_solve_coprime_note_is_computed_for_human_output_only(capsys, monkeypatch):
+    rc, out, _ = run_cli(capsys, "solve", "399", "4")
+    assert rc == 1
+    assert out == "no solution (complete scan, 4 convergents) [coprime (x, y)]\n"
+
+    def no_factorization(n):
+        raise AssertionError("machine formats must not factorize |N|")
+    monkeypatch.setattr("pellkit.cli.squarefree_core", no_factorization)
+    for fmt in ("json", "csv", "markdown"):
+        rc, out, _ = run_cli(capsys, "solve", "399", "4", "--format", fmt)
+        assert rc == 1 and "scan_length" in out, fmt
+    rc, out, _ = run_cli(capsys, "solve", "399", "4", "--format", "json")
+    assert out == ('{"m":399,"N":4,"mode":"convergents","complete":true,'
+                   '"scan_length":4,"solutions":[]}\n')
+
+
 def test_solve_negative_target_both_spellings(capsys):
     rc, out, _ = run_cli(capsys, "solve", "7", "--", "-3")
     assert rc == 0
