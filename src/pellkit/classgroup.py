@@ -12,8 +12,10 @@ is factored, so the work follows the number of roots, not D.
 
 The cycle count of discriminant D is the narrow class number h+; the wide
 class number follows from the norm of the fundamental unit (h = h+ when the
-norm is -1, h = h+/2 when it is +1).  Cycles are walked on bare (a, b, c)
-tuples; IndefiniteForm validates only at the public boundary.  All sqrt(D)
+norm is -1, h = h+/2 when it is +1).  The cycles are walked over the
+coefficient tuples of reduced_forms(D) with the bare-int step _rho, so the
+enumeration has one public entry point and each rho step builds no
+IndefiniteForm.  All sqrt(D)
 comparisons are done on squares in integer arithmetic: a float at the
 reduction-window boundary can silently merge or split cycles.
 """
@@ -221,10 +223,7 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 def _narrow_class_number(D: int) -> int:
     s = isqrt(D)[0]
-    forms = set()
-    for a, b, c in _reduced_triples(D, s):
-        forms.add((a, b, -c))
-        forms.add((-a, b, c))
+    forms = {f.coefficients() for f in reduced_forms(D)}
     cycles = 0
     while forms:
         start = forms.pop()

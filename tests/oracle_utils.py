@@ -82,21 +82,37 @@ def reference_reduced_forms(D: int) -> list[tuple[int, int, int]]:
     return forms
 
 
+def _is_reduced(a: int, b: int, c: int, D: int) -> bool:
+    """b^2 - 4ac = D and |sqrt(D) - 2|a|| < b < sqrt(D), decided on squares
+    (D is a nonsquare, so no comparison with sqrt(D) is an equality)."""
+    lo, hi = 2 * abs(a) - b, 2 * abs(a) + b
+    return (b * b - 4 * a * c == D and b > 0 and b * b < D
+            and (lo < 0 or lo * lo < D) and hi * hi > D)
+
+
 def reference_narrow_class_number(D: int) -> int:
     """Number of rho-cycles on reference_reduced_forms(D).  The successor of
-    a reduced (a, b, c) is (c, b', c') with b' = 2|c|*q - b, where
-    q = floor((b + sqrt(D))/2|c|) is the partial quotient of the continued
-    fraction of (b + sqrt(D))/2|c|."""
-    s = isqrt(D)
+    a reduced (a, b, c) is the one reduced form (c, b', c') with
+    b' = -b (mod 2|c|), found by testing every such 0 < b' < sqrt(D) against
+    the reduction conditions.  Every successor must be a reference form not
+    yet walked, and every walk must come back to the form it started from."""
     unseen = set(reference_reduced_forms(D))
     cycles = 0
     while unseen:
         cycles += 1
-        a, b, c = unseen.pop()
+        start = f = min(unseen)
+        unseen.remove(start)
         while True:
-            b = 2 * abs(c) * ((b + s) // (2 * abs(c))) - b
-            a, c = c, (b * b - D) // (4 * c)
-            if (a, b, c) not in unseen:
+            a, b, c = f
+            step = 2 * abs(c)
+            succ = [(c, b2, (b2 * b2 - D) // (4 * c))
+                    for b2 in range(-b % step or step, isqrt(D) + 1, step)
+                    if (b2 * b2 - D) % (4 * c) == 0
+                    and _is_reduced(c, b2, (b2 * b2 - D) // (4 * c), D)]
+            assert len(succ) == 1, (D, f, succ)
+            f = succ[0]
+            if f == start:
                 break
-            unseen.remove((a, b, c))
+            assert f in unseen, (D, f, "left the reduced forms or closed early")
+            unseen.remove(f)
     return cycles
