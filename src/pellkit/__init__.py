@@ -6,8 +6,7 @@ Every function is pure and deterministic; all integers are arbitrary
 precision.  Values are safe to share across threads or processes.
 """
 
-from .cfrac import (CFExpansion, Convergent, SurdState, cf_sqrt, convergents,
-                    iter_convergents, period_length)
+from .cfrac import CFExpansion, Convergent, cf_sqrt, convergents, iter_convergents
 from .classgroup import (ClassData, IndefiniteForm, class_number,
                          discriminant_of, is_fundamental_discriminant,
                          narrow_class_number, reduced_forms, rho)
@@ -17,8 +16,8 @@ from .families import (EXCEPTIONAL_SOLUTIONS, FAMILY_IDS, FamilyMember,
                        check_yamaguchi_hypothesis, class_conclusion,
                        family_spec, gen_members, reproduce_table,
                        verify_member)
-from .intkit import (Factorization, FactorizationIncompleteError, euler_phi,
-                     factorize, gcd, is_prime, isqrt, jacobi, squarefree_core)
+from .intkit import (Factorization, FactorizationIncompleteError, factorize, gcd,
+                     is_prime, isqrt, jacobi, squarefree_core)
 from .pell import (D2MINUS1, D2MINUS2, D2PLUS2, D2PLUS3, RD_FAMILIES,
                    PellCertificate, QuadraticInteger, brute_force_solve,
                    fundamental_unit, neg_pell, pell_fundamental, rd_unit,
@@ -31,13 +30,13 @@ __all__ = [
     "D2PLUS2", "D2PLUS3", "EXCEPTIONAL_SOLUTIONS", "FAMILY_IDS",
     "Factorization", "FactorizationIncompleteError", "FamilyMember",
     "FamilySpec", "IndefiniteForm", "PellCertificate", "QuadraticInteger",
-    "RD_FAMILIES", "SurdState", "TableRow", "VerificationReport",
+    "RD_FAMILIES", "TableRow", "VerificationReport",
     "brute_force_solve", "cf_sqrt", "check_yamaguchi_hypothesis",
     "class_conclusion", "class_number", "convergents", "discriminant_of",
-    "euler_phi", "factorize", "family_spec", "fundamental_unit", "gcd",
+    "factorize", "family_spec", "fundamental_unit", "gcd",
     "gen_members", "is_fundamental_discriminant", "is_prime", "isqrt",
     "iter_convergents", "jacobi", "narrow_class_number", "neg_pell",
-    "pell_fundamental", "period_length", "rd_unit", "reduce_form",
+    "pell_fundamental", "rd_unit", "reduce_form",
     "reduced_forms", "reproduce_table", "rho", "solve_pm_N",
     "squarefree_core", "unit_norm", "verify_member",
 ]

@@ -4,52 +4,19 @@ recurrence, plus convergents carrying their Pell values x^2 - m*y^2.
 The period of sqrt(m) comes from one bare-int PQa loop that also keeps the
 Q sequence: the convergents satisfy p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1),
 so `pell` reads Pell values off Q as small integers and builds convergents
-only where it needs them.  `SurdState` is the validated form of one PQa
-state (P + sqrt(D))/Q, for any D; `iter_convergents` yields validated
-convergents with their Pell values.
+only where it needs them.  Convergents come from one lazy bare-int
+recurrence, `_convergent_pairs`, which also builds the half-integral unit
+of `pell`; `iter_convergents` wraps its pairs as validated convergents with
+their Pell values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
+from itertools import chain, cycle, islice
+from typing import Iterator, Sequence
 
 from .intkit import gcd, isqrt
-
-
-@dataclass(frozen=True)
-class SurdState:
-    """Quadratic surd (P + sqrt(D)) / Q; Q must divide D - P^2 (the PQa
-    well-formedness condition, preserved by step())."""
-
-    P: int
-    Q: int
-    D: int
-
-    def __post_init__(self):
-        if self.Q == 0:
-            raise ValueError("SurdState: Q must be nonzero")
-        if self.D <= 0 or isqrt(self.D)[1]:
-            raise ValueError("SurdState: D must be a positive nonsquare")
-        if (self.D - self.P * self.P) % self.Q != 0:
-            raise ValueError("SurdState: Q must divide D - P^2")
-
-    def floor(self) -> int:
-        # floor((P + sqrt(D))/Q) in pure integers; sqrt(D) is irrational, so
-        # for Q < 0 an exactly divisible P + isqrt(D) must round down once more.
-        num = self.P + isqrt(self.D)[0]
-        a = num // self.Q
-        if self.Q < 0 and num % self.Q == 0:
-            a -= 1
-        return a
-
-    def step(self) -> tuple[int, "SurdState"]:
-        """One PQa step: returns (partial quotient, successor state)."""
-        a = self.floor()
-        p = a * self.Q - self.P
-        q = (self.D - p * p) // self.Q
-        return a, SurdState(p, q, self.D)
 
 
 @dataclass(frozen=True)
@@ -113,6 +80,22 @@ def _pqa_period(m: int, p0: int = 0, q0: int = 1) -> tuple[int, list[int], list[
             return a_first, quotients, qs
 
 
+def _convergent_pairs(a0: int, period: Sequence[int], p0: int = 0,
+                      q0: int = 1) -> Iterator[tuple[int, int]]:
+    """Lazily yield (G_k, B_k), k = 0, 1, ..., on bare ints, for the partial
+    quotients a0, then `period` repeated forever, of the PQa expansion of
+    (p0 + sqrt(m))/q0: G_k = a_k*G_(k-1) + G_(k-2), likewise B_k, seeded
+    with G_-2 = -p0, G_-1 = q0, B_-2 = 1, B_-1 = 0.  For sqrt(m) itself the
+    pairs are the convergents (p_k, q_k); in general
+    G_k^2 - m*B_k^2 = (-1)^(k+1) * Q_(k+1) * q0 (Jacobson and Williams,
+    *Solving the Pell Equation*)."""
+    g_prev, g, b_prev, b = -p0, q0, 1, 0
+    for a in chain((a0,), cycle(period)):
+        g_prev, g = g, a * g + g_prev
+        b_prev, b = b, a * b + b_prev
+        yield g, b
+
+
 def cf_sqrt(m: int) -> CFExpansion:
     """Minimal-period continued fraction of sqrt(m) for nonsquare m >= 2."""
     if m < 2 or isqrt(m)[1]:
@@ -125,15 +108,8 @@ def iter_convergents(exp: CFExpansion) -> Iterator[Convergent]:
     """Lazily yield convergents of sqrt(m); numerators grow exponentially, so
     callers slice rather than materialize."""
     m = exp.m
-    p_prev, q_prev = 1, 0
-    p, q = exp.a0, 1
-    k = 0
-    while True:
+    for k, (p, q) in enumerate(_convergent_pairs(exp.a0, exp.period)):
         yield Convergent(k, p, q, p * p - m * q * q)
-        a = exp.period[k % exp.period_length]
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        k += 1
 
 
 def convergents(exp: CFExpansion, count: int) -> list[Convergent]:
@@ -141,8 +117,3 @@ def convergents(exp: CFExpansion, count: int) -> list[Convergent]:
     if count < 1:
         raise ValueError("convergents: count must be >= 1")
     return list(islice(iter_convergents(exp), count))
-
-
-def period_length(m: int) -> int:
-    """Length of the minimal period of the continued fraction of sqrt(m)."""
-    return cf_sqrt(m).period_length

@@ -40,14 +40,6 @@ def _token(value) -> str:
     return str(value)
 
 
-def _json_ready(value):
-    if isinstance(value, tuple):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, list):
-        return [_json_ready(v) for v in value]
-    return value
-
-
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
@@ -85,7 +77,7 @@ def _emit_object(obj: dict, fmt: str, human: str) -> None:
     if fmt == "human":
         sys.stdout.write(human + "\n")
     elif fmt == "json":
-        _emit_json({k: _json_ready(v) for k, v in obj.items()})
+        _emit_json(obj)
     elif fmt == "csv":
         _emit_csv([obj])
     else:
@@ -97,7 +89,7 @@ def _emit_rows(rows: list[dict], fmt: str) -> None:
     if fmt == "human":
         _emit_human_table(rows)
     elif fmt == "json":
-        _emit_json({"rows": [{k: _json_ready(v) for k, v in r.items()} for r in rows]})
+        _emit_json({"rows": rows})
     elif fmt == "csv":
         _emit_csv(rows)
     else:

@@ -178,9 +178,8 @@ def check_yamaguchi_hypothesis(m: int) -> bool:
 
 def class_conclusion(m: int) -> tuple[bool, bool]:
     """(h(m) > 1, implied non-triviality upstairs).  The implication is only
-    asserted under the phi(m) > 4 hypothesis; nothing larger is computed."""
-    if m < 2 or not squarefree_core(m)[1]:
-        raise ValueError("class_conclusion: m must be square-free and >= 2")
+    asserted under the phi(m) > 4 hypothesis; nothing larger is computed.
+    Raises class_number's ValueError unless m is square-free and >= 2."""
     h_gt_1 = class_number(m).h_wide > 1
     return h_gt_1, h_gt_1 and check_yamaguchi_hypothesis(m)
 

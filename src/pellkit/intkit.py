@@ -159,12 +159,3 @@ def jacobi(a: int, n: int) -> int:
         a %= n
     return result if n == 1 else 0
 
-
-def euler_phi(n: int, trial_bound: int | None = None) -> int:
-    """Euler totient, computed from the exact factorization."""
-    fac = factorize(n, trial_bound)
-    phi = n
-    for p, _ in fac.factors:
-        phi //= p
-        phi *= p - 1
-    return phi

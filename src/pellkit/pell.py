@@ -3,6 +3,10 @@ quadratic fields, closed-form units for the four d^2 + r families
 (r in {-1, +3, +2, -2}), and a complete decision procedure for
 x^2 - m*y^2 = N.
 
+The +-1 solutions and the unit of Z[sqrt(m)] are one classical read: with
+l the period of sqrt(m), the convergent at index l-1 is the least solution
+of norm (-1)^l, and for odd l its square is the least +1 solution.
+
 Solvability certificates are about primitive solutions (coprime x, y); for
 square-free |N| that is every solution.  An empty certificate is a proof:
 either a scan of the PQa Q sequence over one period of Pell values
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .cfrac import _pqa_period, cf_sqrt, iter_convergents
+from .cfrac import CFExpansion, _convergent_pairs, _pqa_period, cf_sqrt, iter_convergents
 from .intkit import gcd, isqrt, squarefree_core
 
 D2MINUS1 = "D2MINUS1"  # m = d^2 - 1, even d
@@ -65,9 +69,6 @@ class QuadraticInteger:
         if num % d2 != 0:
             raise ArithmeticError("QuadraticInteger: norm is not an integer")
         return num // d2
-
-    def conjugate(self) -> "QuadraticInteger":
-        return QuadraticInteger(self.a, -self.b, self.m, self.denom)
 
     def __mul__(self, other: "QuadraticInteger") -> "QuadraticInteger":
         if not isinstance(other, QuadraticInteger):
@@ -127,33 +128,34 @@ def _require_nonsquare(m: int, who: str) -> None:
         raise ValueError(f"{who}: m must be >= 2 and not a perfect square (got {m})")
 
 
-def pell_fundamental(m: int) -> tuple[int, int]:
-    """Least positive solution of x^2 - m*y^2 = 1.
+def _least_unit(exp: CFExpansion) -> tuple[int, int]:
+    """The convergent (x, y) at index l-1 of sqrt(m), l the period: the least
+    positive solution of x^2 - m*y^2 = (-1)^l, which is the fundamental unit
+    x + y*sqrt(m) of Z[sqrt(m)]."""
+    ell = exp.period_length
+    conv = next(islice(iter_convergents(exp), ell - 1, None))
+    if conv.pell_value != (-1) ** ell:
+        raise ArithmeticError("pell: (-1)^l missing at the classical index l-1")
+    return conv.numerator, conv.denominator
 
-    Sits at convergent index l-1 (even period l) or 2l-1 (odd l).
-    """
+
+def pell_fundamental(m: int) -> tuple[int, int]:
+    """Least positive solution of x^2 - m*y^2 = 1: the convergent at index
+    l-1 when the period l is even, and its square when l is odd."""
     _require_nonsquare(m, "pell_fundamental")
     exp = cf_sqrt(m)
-    ell = exp.period_length
-    idx = ell - 1 if ell % 2 == 0 else 2 * ell - 1
-    conv = next(islice(iter_convergents(exp), idx, None))
-    if conv.pell_value != 1:
-        raise ArithmeticError("pell_fundamental: +1 missing at the classical index")
-    return conv.numerator, conv.denominator
+    x, y = _least_unit(exp)
+    if exp.period_length % 2:
+        return x * x + m * y * y, 2 * x * y
+    return x, y
 
 
 def neg_pell(m: int) -> tuple[int, int] | None:
     """Least positive solution of x^2 - m*y^2 = -1, present exactly when the
-    period of sqrt(m) is odd; then it is the convergent at index l-1."""
+    period l of sqrt(m) is odd; then it is the convergent at index l-1."""
     _require_nonsquare(m, "neg_pell")
     exp = cf_sqrt(m)
-    ell = exp.period_length
-    if ell % 2 == 0:
-        return None
-    conv = next(islice(iter_convergents(exp), ell - 1, None))
-    if conv.pell_value != -1:
-        raise ArithmeticError("neg_pell: -1 missing at the classical index")
-    return conv.numerator, conv.denominator
+    return _least_unit(exp) if exp.period_length % 2 else None
 
 
 def _half_unit_scan(m: int) -> QuadraticInteger:
@@ -164,11 +166,8 @@ def _half_unit_scan(m: int) -> QuadraticInteger:
     a0, period, qs = _pqa_period(m, 1, 2)
     if 2 not in qs:
         raise ArithmeticError("half-unit scan: principal cycle closed without Q = 2")
-    g_prev, g = -1, 2  # G_{-2} = -P0, G_{-1} = Q0
-    b_prev, b = 1, 0   # B_{-2},      B_{-1}
-    for a in [a0] + period[:qs.index(2)]:  # Q_j = 2 takes a_0 .. a_(j-1)
-        g_prev, g = g, a * g + g_prev
-        b_prev, b = b, a * b + b_prev
+    # qs[j] = Q_(j+1) = 2 pairs with (G_j, B_j)
+    g, b = next(islice(_convergent_pairs(a0, period, 1, 2), qs.index(2), None))
     unit = QuadraticInteger.make(g, b, m, 2)
     if abs(unit.norm) != 1:
         raise ArithmeticError("half-unit scan produced a non-unit")
@@ -178,16 +177,15 @@ def _half_unit_scan(m: int) -> QuadraticInteger:
 def fundamental_unit(m: int) -> QuadraticInteger:
     """Fundamental unit (> 1) of the ring of integers of Q(sqrt(m)) for
     square-free m >= 2.  For m = 1 (mod 4) it comes from the half-integral
-    search; otherwise from the +-1 Pell solutions."""
+    search; otherwise it is the convergent at index l-1, read off one
+    expansion of sqrt(m)."""
     if m < 2 or not squarefree_core(m)[1]:
         raise ValueError("fundamental_unit: m must be square-free and >= 2 "
                          "(pass the square-free core)")
     if m % 4 == 1:
         return _half_unit_scan(m)
-    sol = neg_pell(m)
-    if sol is None:
-        sol = pell_fundamental(m)
-    return QuadraticInteger(sol[0], sol[1], m)
+    x, y = _least_unit(cf_sqrt(m))
+    return QuadraticInteger(x, y, m)
 
 
 def unit_norm(m: int) -> int:
@@ -279,16 +277,12 @@ def _solve_by_convergents(m: int, N: int) -> PellCertificate:
     span = ell if ell % 2 == 0 else 2 * ell
     target = abs(N)
     hits = [k for k in range(1 if N > 0 else 0, span, 2) if qs[k % ell] == target]
+    pairs = _convergent_pairs(a0, period)
     found: list[tuple[int, int]] = []
-    p_prev, p, q_prev, q = 1, a0, 0, 1
-    k = 0
+    k = 0  # index of the next pair drawn
     for hit in hits:
-        while k < hit:
-            a = period[k % ell]
-            p, p_prev = a * p + p_prev, p
-            q, q_prev = a * q + q_prev, q
-            k += 1
-        found.append((p, q))
+        found.append(next(islice(pairs, hit - k, None)))
+        k = hit + 1
     return PellCertificate(m, N, tuple(found), 2 * ell, "convergents")
 
 

@@ -2,9 +2,82 @@
 is used to check."""
 
 import math
+from dataclasses import dataclass
 from math import gcd, isqrt
 
-from pellkit import brute_force_solve, discriminant_of, fundamental_unit, pell_fundamental
+from pellkit import (brute_force_solve, cf_sqrt, discriminant_of, factorize,
+                     fundamental_unit, pell_fundamental)
+
+
+@dataclass(frozen=True)
+class SurdState:
+    """Quadratic surd (P + sqrt(D)) / Q; Q must divide D - P^2 (the PQa
+    well-formedness condition, preserved by step())."""
+
+    P: int
+    Q: int
+    D: int
+
+    def __post_init__(self):
+        if self.Q == 0:
+            raise ValueError("SurdState: Q must be nonzero")
+        if self.D <= 0 or isqrt(self.D) ** 2 == self.D:
+            raise ValueError("SurdState: D must be a positive nonsquare")
+        if (self.D - self.P * self.P) % self.Q != 0:
+            raise ValueError("SurdState: Q must divide D - P^2")
+
+    def floor(self) -> int:
+        # floor((P + sqrt(D))/Q) in pure integers; sqrt(D) is irrational, so
+        # for Q < 0 an exactly divisible P + isqrt(D) must round down once more.
+        num = self.P + isqrt(self.D)
+        a = num // self.Q
+        if self.Q < 0 and num % self.Q == 0:
+            a -= 1
+        return a
+
+    def step(self) -> tuple[int, "SurdState"]:
+        """One PQa step: returns (partial quotient, successor state)."""
+        a = self.floor()
+        p = a * self.Q - self.P
+        q = (self.D - p * p) // self.Q
+        return a, SurdState(p, q, self.D)
+
+
+def surd_expansion(m: int) -> tuple[int, list[tuple[int, int]]]:
+    """(l, [(p_0, q_0), ..., (p_(2l-1), q_(2l-1))]) for nonsquare m: the
+    period l of sqrt(m) is the first return of the SurdState after one step,
+    and the convergents of its first 2l partial quotients come from a
+    recurrence written here.  Shares no code with pellkit.cfrac."""
+    a, first = SurdState(0, 1, m).step()
+    quotients, state = [a], first
+    while True:
+        a, state = state.step()
+        quotients.append(a)
+        if state == first:
+            break
+    ell = len(quotients) - 1
+    quotients += quotients[1:]
+    p_prev, p, q_prev, q = 0, 1, 1, 0  # p_-2, p_-1, q_-2, q_-1
+    convs = []
+    for a in quotients[:2 * ell]:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        convs.append((p, q))
+    return ell, convs
+
+
+def period_length(m: int) -> int:
+    """Length of the minimal period of the continued fraction of sqrt(m)."""
+    return cf_sqrt(m).period_length
+
+
+def euler_phi(n: int) -> int:
+    """Euler totient, computed from the exact factorization."""
+    phi = n
+    for p, _ in factorize(n).factors:
+        phi //= p
+        phi *= p - 1
+    return phi
 
 
 def primitive_brute_force(m: int, N: int, y_max: int) -> list[tuple[int, int]]:

@@ -23,10 +23,11 @@ import pytest
 from pellkit import (FAMILY_IDS, check_yamaguchi_hypothesis, class_conclusion,
                      class_number, discriminant_of, family_spec,
                      fundamental_unit, gcd, gen_members, isqrt, jacobi,
-                     narrow_class_number, neg_pell, period_length, rd_unit,
-                     reproduce_table, solve_pm_N, squarefree_core, unit_norm)
+                     narrow_class_number, neg_pell, rd_unit, reproduce_table,
+                     solve_pm_N, squarefree_core, unit_norm)
 
-from oracle_utils import analytic_class_number, orbit_closure, primitive_brute_force
+from oracle_utils import (analytic_class_number, orbit_closure, period_length,
+                          primitive_brute_force)
 
 DESK_P_MAX = 100
 DESK_N_MAX = 20

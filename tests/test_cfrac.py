@@ -3,8 +3,9 @@ from itertools import islice
 
 import pytest
 
-from pellkit import (SurdState, cf_sqrt, convergents, gcd, isqrt,
-                     iter_convergents, period_length)
+from pellkit import cf_sqrt, convergents, gcd, isqrt, iter_convergents
+
+from oracle_utils import SurdState, period_length
 
 
 def test_cf_sqrt_examples():

@@ -1,9 +1,11 @@
 import pytest
 
 from pellkit import (EXCEPTIONAL_SOLUTIONS, FAMILY_IDS, check_yamaguchi_hypothesis,
-                     class_conclusion, euler_phi, family_spec, gen_members,
-                     reproduce_table, verify_member)
+                     class_conclusion, family_spec, gen_members, reproduce_table,
+                     verify_member)
 from pellkit.published_tables import TABLES
+
+from oracle_utils import euler_phi
 
 
 def _member(family, p, n, **kwargs):

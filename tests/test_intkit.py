@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from pellkit import (Factorization, FactorizationIncompleteError, euler_phi,
-                     factorize, gcd, is_prime, isqrt, jacobi, squarefree_core)
+from pellkit import (Factorization, FactorizationIncompleteError, factorize, gcd,
+                     is_prime, isqrt, jacobi, squarefree_core)
+
+from oracle_utils import euler_phi
 
 
 def test_isqrt_examples():

@@ -4,11 +4,11 @@ from itertools import islice
 import pytest
 
 from pellkit import (QuadraticInteger, brute_force_solve, cf_sqrt, fundamental_unit,
-                     isqrt, iter_convergents, neg_pell, pell_fundamental, period_length,
-                     rd_unit, solve_pm_N, squarefree_core, unit_norm)
+                     isqrt, iter_convergents, neg_pell, pell_fundamental, rd_unit,
+                     solve_pm_N, squarefree_core, unit_norm)
 from pellkit.pell import PellCertificate, _half_unit_scan
 
-from oracle_utils import primitive_brute_force
+from oracle_utils import period_length, primitive_brute_force, surd_expansion
 
 
 def test_pell_fundamental_examples():
@@ -283,3 +283,38 @@ def test_half_unit_scan_always_meets_q_equal_2():
             continue
         unit = _half_unit_scan(m)
         assert isinstance(unit, QuadraticInteger) and abs(unit.norm) == 1, m
+
+
+def test_classical_index_matches_surd_state_oracle():
+    # the convergent at l-1 is the least solution of norm (-1)^l, and the
+    # least +1 solution sits at 2l-1 for odd l
+    for m in range(2, 3000):
+        if isqrt(m)[1]:
+            continue
+        ell, convs = surd_expansion(m)
+        least = convs[ell - 1]
+        assert pell_fundamental(m) == (least if ell % 2 == 0 else convs[2 * ell - 1]), m
+        assert neg_pell(m) == (least if ell % 2 else None), m
+        if not squarefree_core(m)[1]:
+            continue
+        unit = fundamental_unit(m)
+        order_unit = QuadraticInteger(*least, m)
+        if m % 4 == 1:  # index 1 or 3 in the unit group of the maximal order
+            assert order_unit in (unit, unit * unit * unit), m
+        else:
+            assert unit == order_unit, m
+
+
+def test_fundamental_unit_expands_sqrt_m_once(monkeypatch):
+    import pellkit.pell
+    real = pellkit.pell.cf_sqrt
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+    monkeypatch.setattr(pellkit.pell, "cf_sqrt", counting)
+    for m in (399, 7, 2, 10):  # even and odd periods, m != 1 (mod 4)
+        calls.clear()
+        fundamental_unit(m)
+        assert calls == [m]
