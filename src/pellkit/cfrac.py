@@ -6,8 +6,8 @@ Q sequence: the convergents satisfy p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1),
 so `pell` reads Pell values off Q as small integers and builds convergents
 only where it needs them.  Convergents come from one lazy bare-int
 recurrence, `_convergent_pairs`, which also builds the half-integral unit
-of `pell`; `iter_convergents` wraps its pairs as validated convergents with
-their Pell values.
+and the LMM solutions of `pell`; `iter_convergents` wraps its pairs as
+validated convergents with their Pell values.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 
-from .intkit import isqrt, squarefree_core
+from .intkit import _sqrt_mod_prime, isqrt, squarefree_core
 from .pell import _unit_norm
 
 
@@ -103,32 +103,6 @@ def _validate_discriminant(D: int) -> int:
     if D <= 0 or D % 4 not in (0, 1) or isqrt(D)[1]:
         raise ValueError(f"invalid indefinite discriminant {D}")
     return isqrt(D)[0]
-
-
-def _sqrt_mod_prime(n: int, p: int) -> int | None:
-    """A root of x^2 = n (mod p) for an odd prime p not dividing n, by
-    Tonelli-Shanks; None when n is a non-residue."""
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (e - i - 1), p)
-        e, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 def _reduced_triples(D: int, s: int) -> list[tuple[int, int, int]]:

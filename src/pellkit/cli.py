@@ -144,9 +144,9 @@ def _cmd_solve(args, fmt: str) -> int:
         coprime_note = "" if squarefree_core(abs(n_target))[1] else " [coprime (x, y)]"
         if cert.method == "convergents":
             human = f"no solution (complete scan, {cert.scan_length} convergents){coprime_note}"
-        else:
-            human = (f"no solution (complete bounded search, "
-                     f"{cert.scan_length} y values){coprime_note}")
+        else:  # an lmm scan_length counts the root search as one step
+            human = (f"no solution (complete LMM search, "
+                     f"{cert.scan_length - 1} PQa steps){coprime_note}")
     _emit_object(obj, fmt, human)
     return 0 if cert.has_solutions else 1
 

@@ -1,5 +1,5 @@
 """Exact integer primitives: square root, gcd, primality, factorization,
-square-free core, Jacobi symbol, Euler phi.
+square-free core, Jacobi symbol, square roots modulo n.
 
 Everything is arbitrary-precision and deterministic.  Nothing here returns a
 probabilistic answer: primality uses a fixed Miller-Rabin witness set that is
@@ -159,3 +159,88 @@ def jacobi(a: int, n: int) -> int:
         a %= n
     return result if n == 1 else 0
 
+
+
+def _sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A root of x^2 = n (mod p) for an odd prime p not dividing n, by
+    Tonelli-Shanks; None when n is a non-residue."""
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
+    """Every x in [0, p^e) with x^2 = a (mod p^e), for a prime p and e >= 1."""
+    q = p**e
+    a %= q
+    if a == 0:  # x = 0 (mod p^ceil(e/2))
+        step = p ** ((e + 1) // 2)
+        return list(range(0, q, step))
+    t = 0
+    while a % p == 0:
+        a //= p
+        t += 1
+    if t % 2:
+        return []
+    # x = p^(t/2) * w with w^2 = a (mod p^k), p not dividing a; w is only
+    # fixed modulo p^k, and x modulo p^e lets it range modulo p^(k + t/2)
+    k = e - t
+    if p == 2:
+        if k == 1:
+            units = [1]
+        elif k == 2:
+            units = [1, 3] if a % 4 == 1 else []
+        elif a % 8 != 1:
+            units = []
+        else:
+            r = 1  # a root modulo 8, lifted one bit at a time
+            for j in range(3, k):
+                if (r * r - a) % (2 << j):
+                    r += 1 << (j - 1)
+            pk, half = 1 << k, 1 << (k - 1)
+            units = [r, pk - r, (r + half) % pk, (pk - r + half) % pk]
+    else:
+        r = _sqrt_mod_prime(a % p, p)
+        if r is None:
+            return []
+        pk, mod = p**k, p
+        while mod < pk:  # Newton's iteration doubles the p-adic precision
+            mod = min(mod * mod, pk)
+            r = (r - (r * r - a) * pow(2 * r, -1, mod)) % mod
+        units = [r, pk - r]
+    scale, pk = p ** (t // 2), p**k
+    return sorted(scale * (w + j * pk) % q for w in units for j in range(p ** (t // 2)))
+
+
+def _sqrt_mod(a: int, n: int) -> list[int]:
+    """Every x in [0, n) with x^2 = a (mod n), for n >= 1, ascending: the
+    roots modulo each prime power of n combined by CRT.  Factorizes n, so
+    it raises FactorizationIncompleteError where factorize does."""
+    roots, mod = [0], 1
+    for p, e in factorize(n).factors:
+        q = p**e
+        found = _sqrt_mod_prime_power(a, p, e)
+        if not found:
+            return []
+        inv = pow(mod, -1, q)
+        roots = [x + mod * ((y - x) * inv % q) for x in roots for y in found]
+        mod *= q
+    return sorted(roots)

@@ -8,12 +8,15 @@ l the period of sqrt(m), the convergent at index l-1 is the least solution
 of norm (-1)^l, and for odd l its square is the least +1 solution.
 
 Solvability certificates are about primitive solutions (coprime x, y); for
-square-free |N| that is every solution.  An empty certificate is a proof:
-either a scan of the PQa Q sequence over one period of Pell values
-(|N| < sqrt(m)) or a bounded sweep below the classical fundamental-solution
-height (larger |N|).  The scan reads p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1)
-as small integers and builds the convergents (p_k, q_k) only up to its last
-hit.
+square-free |N| that is every solution.  An empty certificate is a proof.
+For |N| < sqrt(m) it comes from a scan of the PQa Q sequence of sqrt(m)
+over one period of Pell values, which reads
+p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1) as small integers for both signs of
+N at once and builds the convergents (p_k, q_k) only up to its last hit.
+For larger |N| it comes from the Lagrange-Matthews-Mollin method: one PQa
+run on (z + sqrt(m))/|N| for each square root z of m modulo |N|, so the
+cost follows the period and the factorization of |N|, not the size of the
+fundamental unit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .cfrac import CFExpansion, _convergent_pairs, _pqa_period, cf_sqrt, iter_convergents
-from .intkit import gcd, isqrt, squarefree_core
+from .intkit import _sqrt_mod, isqrt, squarefree_core
 
 D2MINUS1 = "D2MINUS1"  # m = d^2 - 1, even d
 D2PLUS3 = "D2PLUS3"    # m = d^2 + 3, 3 | d
@@ -98,11 +101,12 @@ class PellCertificate:
     """Outcome of deciding x^2 - m*y^2 = target over coprime positive (x, y).
 
     `solutions` lists one least-positive representative per solution class
-    (empty means provably none exist); `scan_length` is the length the scan
-    is complete for: the classical two-period length 2l of the convergent
-    scan (which reads only l Pell values when l is even, since the second
-    period repeats the first) or the number of y values swept; `method`
-    names the scan.
+    (empty means provably none exist); `method` names the scan and
+    `scan_length` the length it is complete for.  For "convergents" that is
+    the classical two-period length 2l (the scan reads only l Pell values
+    when l is even, since the second period repeats the first).  For "lmm"
+    it is 1 + the PQa steps taken over all square roots of m modulo |N|: the
+    root search counts as one step, so it stays >= 1 when m has no root.
     """
 
     m: int
@@ -259,11 +263,6 @@ def brute_force_solve(m: int, N: int, y_max: int) -> list[tuple[int, int]]:
     return out
 
 
-def _unit_times(x: int, y: int, m: int, u: int, v: int) -> tuple[int, int]:
-    # (x + y sqrt(m)) * (u + v sqrt(m))
-    return x * u + y * v * m, x * v + y * u
-
-
 def _solve_by_convergents(m: int, N: int) -> PellCertificate:
     # Complete for coprime solutions when N^2 < m: every positive primitive
     # solution is a convergent, and p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1).
@@ -286,64 +285,85 @@ def _solve_by_convergents(m: int, N: int) -> PellCertificate:
     return PellCertificate(m, N, tuple(found), 2 * ell, "convergents")
 
 
-def _same_class(s: tuple[int, int], t: tuple[int, int], m: int, N: int) -> bool:
-    # Classical criterion: (x1 x2 - m y1 y2)/N and (x1 y2 - y1 x2)/N integral.
-    x1, y1 = s
-    x2, y2 = t
-    return (x1 * x2 - m * y1 * y2) % N == 0 and (x1 * y2 - y1 * x2) % N == 0
+def _pqa_to_unit(m: int, root: int, p: int, q: int) -> tuple[list[int], bool]:
+    """PQa on (p + sqrt(m))/q, q > 0 dividing m - p^2, root = isqrt(m): the
+    partial quotients a_0, ..., a_(i-1) up to the first Q_i = +-1 (i >= 1)
+    and True, or the quotients of one full period of the reduced cycle the
+    expansion falls into, without such a Q, and False.
+
+    The start need not be reduced and early Q can be negative, so each
+    partial quotient is floored exactly for either sign of Q, and the
+    period is timed from the first reduced state (P, Q): Q > 0, P <= root,
+    P + Q > root and Q <= P + root.
+    """
+    quotients = []
+    first = None
+    while True:
+        a = (p + root) // q if q > 0 else (p + root + 1) // q
+        quotients.append(a)
+        p = a * q - p
+        q = (m - p * p) // q
+        if q == 1 or q == -1:
+            return quotients, True
+        if first is None:
+            if 0 < q <= p + root and p <= root < p + q:
+                first = (p, q)
+        elif (p, q) == first:
+            return quotients, False
 
 
-def _is_negative(x: int, y: int, m: int) -> bool:
-    # sign of x + y*sqrt(m), exactly
-    if x >= 0 and y >= 0:
-        return False
-    if x <= 0 and y <= 0:
-        return True
-    if x > 0:  # y < 0
-        return x * x < m * y * y
-    return m * y * y < x * x  # x < 0, y > 0
+def _least_positive_member(x: int, y: int, m: int, N: int, u: int, v: int) -> tuple[int, int]:
+    """The least member with x, y > 0 of the class +-(x + y*sqrt(m)) * eps^k
+    of a solution of x^2 - m*y^2 = N, eps = u + v*sqrt(m) the +1 unit.
 
-
-def _least_positive(x: int, y: int, m: int, u: int, v: int) -> tuple[int, int]:
-    # Least member of the class of x + y*sqrt(m) with both coordinates positive.
-    if _is_negative(x, y, m):
+    x + y*sqrt(m) has the sign of x when N > 0 (|x| > |y|*sqrt(m)) and of y
+    when N < 0, and a positive member gamma has x, y > 0 exactly when
+    gamma^2 > |N|.  Up to sign, an LMM solution has the least |y| in its
+    class (or is one times the -1 unit), which puts it at or below the
+    least such member, so multiplying up by eps reaches it.
+    """
+    if (x if N > 0 else y) < 0:
         x, y = -x, -y
-    steps = 0
     while x <= 0 or y <= 0:
-        x, y = _unit_times(x, y, m, u, v)
-        steps += 1
-        if steps > 64:
-            raise ArithmeticError("solve_pm_N: positivity normalization diverged")
+        x, y = x * u + m * y * v, x * v + y * u
     return x, y
 
 
-def _solve_by_bounded_search(m: int, N: int) -> PellCertificate:
-    # For N^2 >= m the convergent theorem no longer covers the search space.
-    # Every solution class still contains a representative (x, y) with
-    # 0 <= y <= v*sqrt(|N|) / sqrt(2(u -+ 1)), (u, v) the least +1 solution,
-    # so a bounded sweep over y is complete for all solutions.
-    u, v = pell_fundamental(m)
-    denom = 2 * (u - 1) if N < 0 else 2 * (u + 1)
-    y_bound = isqrt((v * v * abs(N)) // denom)[0] + 1
-    reps: list[tuple[int, int]] = []
-    for y in range(0, y_bound + 1):
-        t = m * y * y + N
-        if t < 0:
-            continue
-        x, exact = isqrt(t)
-        if not exact:
-            continue
-        candidates = [(x, y)]
-        if x > 0 and y > 0:
-            candidates.append((-x, y))
-        for cand in candidates:
-            if gcd(cand[0], cand[1]) != 1:
-                continue  # certificates cover coprime solutions
-            if any(_same_class(cand, r, m, N) for r in reps):
-                continue
-            reps.append(cand)
-    sols = sorted(_least_positive(x, y, m, u, v) for x, y in reps)
-    return PellCertificate(m, N, tuple(sols), y_bound + 1, "bounded-search")
+def _solve_by_lmm(m: int, N: int) -> PellCertificate:
+    # Lagrange-Matthews-Mollin for coprime solutions (K. Matthews,
+    # Expositiones Math. 18 (2000)).  A coprime solution has gcd(y, N) = 1,
+    # and z = x/y (mod |N|) is a square root of m modulo |N| that is the
+    # same for the whole class +-(x + y*sqrt(m)) * eps^k and differs between
+    # classes.  For each root z in (-|N|/2, |N|/2], the first Q_i = +-1 of
+    # the PQa expansion of (z + sqrt(m))/|N| gives the class's solution of
+    # norm N, or of norm -N to be multiplied by the -1 unit; if there is no
+    # such Q_i, or the norm is -N and there is no -1 unit, z has no class.
+    # The pair (G_(i-1), B_(i-1)) at Q_i = +-1 has norm (-1)^i * Q_i * |N|.
+    n = abs(N)
+    root = isqrt(m)[0]
+    raw: list[tuple[int, int]] = []
+    steps = 0
+    for z in _sqrt_mod(m, n):
+        if 2 * z > n:
+            z -= n
+        quotients, hit = _pqa_to_unit(m, root, z, n)
+        steps += len(quotients)
+        if hit:
+            pairs = _convergent_pairs(quotients[0], quotients[1:], z, n)
+            raw.append(next(islice(pairs, len(quotients) - 1, None)))
+    sols = []
+    if raw:
+        exp = cf_sqrt(m)
+        t, w = _least_unit(exp)  # norm (-1)^l
+        odd = exp.period_length % 2
+        u, v = (t * t + m * w * w, 2 * t * w) if odd else (t, w)
+        for x, y in raw:
+            if x * x - m * y * y != N:
+                if not odd:
+                    continue
+                x, y = x * t + m * y * w, x * w + y * t
+            sols.append(_least_positive_member(x, y, m, N, u, v))
+    return PellCertificate(m, N, tuple(sorted(sols)), 1 + steps, "lmm")
 
 
 def solve_pm_N(m: int, N: int) -> PellCertificate:
@@ -353,13 +373,15 @@ def solve_pm_N(m: int, N: int) -> PellCertificate:
     off the PQa Q sequence over one value period (l terms for even l, 2l for
     odd l; the certificate records the classical 2l), which covers every
     primitive solution class; the returned solutions are the least positive
-    representative of each class.  For N^2 >= m: falls back to the complete
-    bounded sweep below the fundamental-solution height.  Either way, an
-    empty certificate is a proof that no coprime solution exists.
+    representative of each class.  For N^2 >= m: runs the
+    Lagrange-Matthews-Mollin PQa method over the square roots of m modulo
+    |N|, which factorizes |N| (FactorizationIncompleteError where factorize
+    gives up).  Either way, an empty certificate is a proof that no coprime
+    solution exists.
     """
     _require_nonsquare(m, "solve_pm_N")
     if N == 0:
         raise ValueError("solve_pm_N: N must be nonzero")
     if N * N < m:
         return _solve_by_convergents(m, N)
-    return _solve_by_bounded_search(m, N)
+    return _solve_by_lmm(m, N)

@@ -5,8 +5,8 @@ import math
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from pellkit import (brute_force_solve, cf_sqrt, discriminant_of, factorize,
-                     fundamental_unit, pell_fundamental)
+from pellkit import (PellCertificate, brute_force_solve, cf_sqrt, discriminant_of,
+                     factorize, fundamental_unit, pell_fundamental)
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,74 @@ def orbit_closure(solutions, m: int, y_max: int) -> list[tuple[int, int]]:
             out.add((x, y))
             x, y = x * u + y * v * m, x * v + y * u
     return sorted(out, key=lambda s: (s[1], s[0]))
+
+
+def _unit_times(x: int, y: int, m: int, u: int, v: int) -> tuple[int, int]:
+    # (x + y sqrt(m)) * (u + v sqrt(m))
+    return x * u + y * v * m, x * v + y * u
+
+
+def _same_class(s: tuple[int, int], t: tuple[int, int], m: int, N: int) -> bool:
+    # Classical criterion: (x1 x2 - m y1 y2)/N and (x1 y2 - y1 x2)/N integral.
+    x1, y1 = s
+    x2, y2 = t
+    return (x1 * x2 - m * y1 * y2) % N == 0 and (x1 * y2 - y1 * x2) % N == 0
+
+
+def _is_negative(x: int, y: int, m: int) -> bool:
+    # sign of x + y*sqrt(m), exactly
+    if x >= 0 and y >= 0:
+        return False
+    if x <= 0 and y <= 0:
+        return True
+    if x > 0:  # y < 0
+        return x * x < m * y * y
+    return m * y * y < x * x  # x < 0, y > 0
+
+
+def _least_positive(x: int, y: int, m: int, u: int, v: int) -> tuple[int, int]:
+    # Least member of the class of x + y*sqrt(m) with both coordinates positive.
+    if _is_negative(x, y, m):
+        x, y = -x, -y
+    steps = 0
+    while x <= 0 or y <= 0:
+        x, y = _unit_times(x, y, m, u, v)
+        steps += 1
+        if steps > 64:
+            raise ArithmeticError("solve_pm_N: positivity normalization diverged")
+    return x, y
+
+
+def reference_bounded_search(m: int, N: int) -> PellCertificate:
+    """Decide x^2 - m*y^2 = N over coprime solutions by sweeping every y up
+    to the classical bound; the sweep grows with the +1 unit, so it is a
+    reference for small units only."""
+    # For N^2 >= m the convergent theorem no longer covers the search space.
+    # Every solution class still contains a representative (x, y) with
+    # 0 <= y <= v*sqrt(|N|) / sqrt(2(u -+ 1)), (u, v) the least +1 solution,
+    # so a bounded sweep over y is complete for all solutions.
+    u, v = pell_fundamental(m)
+    denom = 2 * (u - 1) if N < 0 else 2 * (u + 1)
+    y_bound = isqrt((v * v * abs(N)) // denom) + 1
+    reps: list[tuple[int, int]] = []
+    for y in range(0, y_bound + 1):
+        t = m * y * y + N
+        if t < 0:
+            continue
+        x = isqrt(t)
+        if x * x != t:
+            continue
+        candidates = [(x, y)]
+        if x > 0 and y > 0:
+            candidates.append((-x, y))
+        for cand in candidates:
+            if gcd(cand[0], cand[1]) != 1:
+                continue  # certificates cover coprime solutions
+            if any(_same_class(cand, r, m, N) for r in reps):
+                continue
+            reps.append(cand)
+    sols = sorted(_least_positive(x, y, m, u, v) for x, y in reps)
+    return PellCertificate(m, N, tuple(sols), y_bound + 1, "bounded-search")
 
 
 def _kronecker(D: int, n: int) -> int:

@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from pellkit import FactorizationIncompleteError, solve_pm_N
 from pellkit.cli import main
 from pellkit.families import reproduce_table
 
@@ -51,6 +54,28 @@ def test_solve_coprime_note_is_computed_for_human_output_only(capsys, monkeypatc
     rc, out, _ = run_cli(capsys, "solve", "399", "4", "--format", "json")
     assert out == ('{"m":399,"N":4,"mode":"convergents","complete":true,'
                    '"scan_length":4,"solutions":[]}\n')
+
+
+def test_solve_lmm_no_solution_message(capsys):
+    rc, out, _ = run_cli(capsys, "solve", "10", "13")
+    assert rc == 1
+    assert out == "no solution (complete LMM search, 12 PQa steps)\n"
+    rc, out, _ = run_cli(capsys, "solve", "109", "1000")  # no root of 109 mod 8
+    assert rc == 1
+    assert out == "no solution (complete LMM search, 0 PQa steps) [coprime (x, y)]\n"
+    rc, out, _ = run_cli(capsys, "solve", "10", "13", "--format", "json")
+    assert out == ('{"m":10,"N":13,"mode":"lmm","complete":true,'
+                   '"scan_length":13,"solutions":[]}\n')
+
+
+def test_solve_lmm_refuses_an_unfactorable_target(capsys):
+    # |N| = 10000019 * 10000079 > 10^14: both primes exceed the trial bound
+    N = 10000019 * 10000079
+    with pytest.raises(FactorizationIncompleteError):
+        solve_pm_N(109, N)
+    rc, out, err = run_cli(capsys, "solve", "109", str(N))
+    assert rc == 2 and out == ""
+    assert "not resolved with trial bound" in err
 
 
 def test_solve_negative_target_both_spellings(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from pellkit import (Factorization, FactorizationIncompleteError, factorize, gcd,
                      is_prime, isqrt, jacobi, squarefree_core)
+from pellkit.intkit import _sqrt_mod
 
 from oracle_utils import euler_phi
 
@@ -157,3 +158,25 @@ def test_euler_phi_examples():
 def test_euler_phi_matches_count():
     for n in range(1, 300):
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def test_sqrt_mod_matches_brute_force():
+    # even m, odd m, p | m, and p^2 | n with p | m (12 = 2^2*3, 45 = 3^2*5,
+    # 72 = 2^3*3^2, 2^6 = 64) all occur for n <= 3000
+    for n in range(1, 3001):
+        by_square: dict[int, list[int]] = {}
+        for z in range(n):
+            by_square.setdefault(z * z % n, []).append(z)
+        for m in (1, 2, 7, 12, 45, 64, 72, 109):
+            assert _sqrt_mod(m, n) == by_square.get(m % n, []), (m, n)
+
+
+def test_sqrt_mod_large_prime_powers():
+    for p, e in ((10**6 + 3, 3), (3, 25), (2, 70), (10_007, 4)):
+        n = p**e
+        for m in (2, 3 * 10**9 + 1, 17, 1, -1):
+            roots = _sqrt_mod(m, n)
+            assert all((z * z - m) % n == 0 for z in roots)
+            assert len(roots) in (0, 1, 2, 4)
+    assert len(_sqrt_mod(-1, 5**20)) == 2  # 5 = 1 (mod 4)
+    assert len(_sqrt_mod(17, 2**70)) == 4  # 17 = 1 (mod 8)

@@ -1,14 +1,20 @@
 import random
+import time
 from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pellkit import (QuadraticInteger, brute_force_solve, cf_sqrt, fundamental_unit,
-                     isqrt, iter_convergents, neg_pell, pell_fundamental, rd_unit,
+                     gcd, isqrt, iter_convergents, neg_pell, pell_fundamental, rd_unit,
                      solve_pm_N, squarefree_core, unit_norm)
 from pellkit.pell import PellCertificate, _half_unit_scan
 
-from oracle_utils import period_length, primitive_brute_force, surd_expansion
+from oracle_utils import (_same_class, orbit_closure, period_length, primitive_brute_force,
+                          reference_bounded_search, surd_expansion)
+
+BF_Y_MAX = 2000  # the brute-force cap of acceptance criterion 7
 
 
 def test_pell_fundamental_examples():
@@ -135,10 +141,10 @@ def test_solve_pm_N_examples():
 
 
 def test_solve_pm_N_bounded_path_classes():
-    # N^2 >= m goes through the bounded sweep; x^2 - 10 y^2 = 6 splits into
+    # N^2 >= m goes through the LMM search; x^2 - 10 y^2 = 6 splits into
     # the classes of (4, 1) and (16, 5)
     cert = solve_pm_N(10, 6)
-    assert cert.method == "bounded-search"
+    assert cert.method == "lmm"
     assert cert.solutions == ((4, 1), (16, 5))
     cert = solve_pm_N(7, -7)
     assert cert.solutions == ((21, 8),)
@@ -318,3 +324,50 @@ def test_fundamental_unit_expands_sqrt_m_once(monkeypatch):
         calls.clear()
         fundamental_unit(m)
         assert calls == [m]
+
+
+def test_lmm_matches_bounded_search():
+    # every nonsquare m < 200 and N^2 >= m, |N| <= 100, whose sweep covers at
+    # most 10^4 values of y
+    compared = 0
+    for m in range(2, 200):
+        if isqrt(m)[1]:
+            continue
+        u, v = pell_fundamental(m)
+        for N in range(-100, 101):
+            if N == 0 or N * N < m:
+                continue
+            denom = 2 * (u - 1) if N < 0 else 2 * (u + 1)
+            if isqrt(v * v * abs(N) // denom)[0] + 2 > 10**4:
+                continue
+            cert = solve_pm_N(m, N)
+            assert cert.method == "lmm" and cert.scan_length >= 1
+            assert cert.solutions == reference_bounded_search(m, N).solutions, (m, N)
+            compared += 1
+    assert compared > 10**4
+
+
+@pytest.mark.parametrize("m, N", [(109, 1000), (109, -1000), (181, 10**4), (181, -10**4),
+                                  (109, 791), (181, 871)])
+def test_lmm_large_units(m, N):
+    # the bounded sweep would cover up to ~10^9 values of y here
+    started = time.perf_counter()
+    cert = solve_pm_N(m, N)
+    assert time.perf_counter() - started < 1
+    for i, (x, y) in enumerate(cert.solutions):
+        assert x > 0 and y > 0 and x * x - m * y * y == N
+        assert gcd(x, y) == 1
+        assert not any(_same_class((x, y), t, m, N) for t in cert.solutions[:i])
+    assert orbit_closure(cert.solutions, m, BF_Y_MAX) == primitive_brute_force(m, N, BF_Y_MAX)
+    assert cert.has_solutions == (N in (791, 871))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(m=st.integers(2, 10**4), x0=st.integers(0, 10**4), y0=st.integers(1, 10**4))
+def test_lmm_certificate_contains_the_class_of_a_constructed_solution(m, x0, y0):
+    assume(not isqrt(m)[1] and gcd(x0, y0) == 1)
+    N = x0 * x0 - m * y0 * y0
+    assume(N * N >= m)
+    cert = solve_pm_N(m, N)
+    assert cert.method == "lmm"
+    assert any(_same_class((x0, y0), s, m, N) for s in cert.solutions)
