@@ -12,12 +12,14 @@ is factored, so the work follows the number of roots, not D.
 
 The cycle count of discriminant D is the narrow class number h+; the wide
 class number follows from the norm of the fundamental unit (h = h+ when the
-norm is -1, h = h+/2 when it is +1).  The cycles are walked over the
-coefficient tuples of reduced_forms(D) with the bare-int step _rho, so the
-enumeration has one public entry point and each rho step builds no
-IndefiniteForm.  All sqrt(D)
-comparisons are done on squares in integer arithmetic: a float at the
-reduction-window boundary can silently merge or split cycles.
+norm is -1, h = h+/2 when it is +1).  Reduced forms alternate in sign
+along a cycle, so every cycle holds a form (a, b, -c) with a, c > 0, and
+the cycles are counted as the orbits of rho^2 on the bare triples (a, b, c)
+of the enumeration: two steps of the bare-int _rho lead from (a, b, -c)
+through (-c, b', c') to the next (a'', b'', -c''), and no IndefiniteForm is
+built.  All sqrt(D) comparisons are done on squares in integer arithmetic:
+a float at the reduction-window boundary can silently merge or split
+cycles.
 """
 
 from __future__ import annotations
@@ -196,20 +198,25 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 
 def _narrow_class_number(D: int) -> int:
+    # Orbits of rho^2 on the triples (a, b, c) of the forms (a, b, -c): each
+    # cycle alternates in sign, so each holds such a form.
     s = isqrt(D)[0]
-    forms = {f.coefficients() for f in reduced_forms(D)}
+    triples = set(_reduced_triples(D, s))
     cycles = 0
-    while forms:
-        start = forms.pop()
+    while triples:
+        start = t = triples.pop()
         cycles += 1
-        f = _rho(*start, D, s)
-        while f != start:
+        while True:
+            a, b, c = t
+            a, b, c = _rho(*_rho(a, b, -c, D, s), D, s)
+            t = (a, b, -c)
+            if t == start:
+                break
             try:
-                forms.remove(f)
+                triples.remove(t)
             except KeyError:
                 raise ArithmeticError("narrow_class_number: rho left the reduced "
                                       "forms") from None
-            f = _rho(*f, D, s)
     return cycles
 
 
@@ -257,11 +264,17 @@ def class_number(m: int) -> ClassData:
 
     h_narrow comes from cycle counting alone; h_wide divides it by two
     exactly when the fundamental unit has norm +1.  m is factorized once,
-    here; the helpers below trust it.
+    here; _class_number and the helpers below trust it.
     """
     if m < 2 or not squarefree_core(m)[1]:
         raise ValueError("class_number: m must be square-free and >= 2 "
                          "(pass the square-free core)")
+    return _class_number(m)
+
+
+def _class_number(m: int) -> ClassData:
+    # m is square-free and >= 2: callers that hold m from squarefree_core
+    # come here directly instead of factorizing it again.
     D = _discriminant_of(m)
     h_plus = _narrow_class_number(D)
     norm = _unit_norm(m)

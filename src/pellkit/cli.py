@@ -15,7 +15,7 @@ import sys
 import time
 
 from .cfrac import cf_sqrt
-from .classgroup import class_number
+from .classgroup import _class_number
 from .families import FAMILY_IDS, gen_members, reproduce_table, verify_member
 from .intkit import factorize, squarefree_core
 from .published_tables import TABLES
@@ -174,7 +174,7 @@ def _cmd_classno(args, fmt: str) -> int:
     core, is_sf = squarefree_core(args.m)
     if core < 2:
         raise ValueError("classno: m must not be a perfect square")
-    data = class_number(core)
+    data = _class_number(core)
     obj = {"m": args.m, "core": core, "D": data.D, "h": data.h_wide,
            "h_narrow": data.h_narrow, "unit_norm": data.unit_norm}
     lines = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classgroup import class_number
+from .classgroup import _class_number, class_number
 from .intkit import is_prime, isqrt, squarefree_core
 from .published_tables import TABLE_FAMILY, TABLES
 from .pell import (D2MINUS1, D2MINUS2, D2PLUS2, D2PLUS3, PellCertificate,
@@ -210,8 +210,10 @@ class TableRow:
 
 
 def _h_via_core(m: int) -> tuple[int, int]:
+    # every table m is a non-square d^2 + r, so its core is square-free and
+    # >= 2, and m is factorized once
     core, _ = squarefree_core(m)
-    return class_number(core).h_wide, core
+    return _class_number(core).h_wide, core
 
 
 def reproduce_table(table_id: int) -> list[TableRow]:

@@ -128,6 +128,13 @@ def test_narrow_class_number_matches_reference_cycle_count(D):
     assert narrow_class_number(D) == reference_narrow_class_number(D)
 
 
+def test_narrow_class_number_matches_reference_for_every_small_fundamental_D():
+    Ds = [D for D in range(5, 5001) if is_fundamental_discriminant(D)]
+    assert len(Ds) == 1516
+    for D in Ds:
+        assert narrow_class_number(D) == reference_narrow_class_number(D), D
+
+
 def test_class_number_matches_analytic_formula():
     # m = 1, 2, 3 (mod 4) up to about 1e5, with h from 1 to 21
     for m in (23002, 24999, 30011, 65537, 99989, 99991):
@@ -173,6 +180,22 @@ def test_class_number_factorizes_m_once(monkeypatch):
         calls.clear()
         class_number(m)
         assert calls == [m]
+
+
+def test_class_number_builds_no_indefinite_form(monkeypatch):
+    real = IndefiniteForm.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        real(self)
+    monkeypatch.setattr(IndefiniteForm, "__post_init__", counting)
+    for m in (399, 443, 4849845):
+        class_number(m)
+        assert built == [], m
+    # the counter sees the forms that reduced_forms does build
+    forms = reduced_forms(discriminant_of(399))
+    assert len(built) == len(forms) == 56
 
 
 def test_class_data_invariant():

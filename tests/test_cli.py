@@ -118,6 +118,22 @@ def test_classno_core_annotation(capsys):
     ]
 
 
+def test_classno_factorizes_m_once(capsys, monkeypatch):
+    import pellkit.intkit
+    real = pellkit.intkit.factorize
+    calls = []
+
+    def counting(n, trial_bound=None):
+        calls.append(n)
+        return real(n, trial_bound)
+    monkeypatch.setattr(pellkit.intkit, "factorize", counting)
+    for m in (399, 443, 4849845):
+        calls.clear()
+        rc, out, _ = run_cli(capsys, "classno", str(m), "--format", "json")
+        assert rc == 0 and json.loads(out)["core"] == m
+        assert calls == [m]
+
+
 def test_classno_trivial_and_errors(capsys):
     rc, out, _ = run_cli(capsys, "classno", "2")
     assert rc == 0 and out.startswith("h=1 ")
