@@ -1,13 +1,13 @@
-"""Periodic continued fractions of sqrt(m) through the integer-only PQa
-recurrence, plus convergents carrying their Pell values x^2 - m*y^2.
+"""Periodic continued fractions through the integer-only PQa recurrence,
+plus convergents carrying their Pell values x^2 - m*y^2.
 
-The period of sqrt(m) comes from one bare-int PQa loop that also keeps the
-Q sequence: the convergents satisfy p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1),
-so `pell` reads Pell values off Q as small integers and builds convergents
-only where it needs them.  Convergents come from one lazy bare-int
-recurrence, `_convergent_pairs`, which also builds the half-integral unit
-and the LMM solutions of `pell`; `iter_convergents` wraps its pairs as
-validated convergents with their Pell values.
+One bare-int PQa loop, `_pqa_period`, expands (P + sqrt(m))/Q from any
+start and keeps the Q sequence: for sqrt(m) the convergents satisfy
+p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1), so `pell` reads Pell values off Q
+as small integers and builds convergents only where it needs them.
+Convergents come from one lazy bare-int recurrence, `_convergent_pairs`,
+which also builds the units and the LMM solutions of `pell`;
+`iter_convergents` wraps its pairs as validated convergents.
 """
 
 from __future__ import annotations
@@ -52,23 +52,31 @@ class Convergent:
 
 
 def _pqa_period(m: int, p0: int = 0, q0: int = 1) -> tuple[int, list[int], list[int]]:
-    """PQa on (p0 + sqrt(m))/q0 for nonsquare m >= 2, on bare ints, with
-    q0 > 0 dividing m - p0^2 and p0 < sqrt(m) (sqrt(m) itself by default):
-    (a_0, [a_1, ..., a_l], [Q_1, ..., Q_l]) over one minimal period.
+    """PQa on (p0 + sqrt(m))/q0 for nonsquare m >= 2, on bare ints, from any
+    start with q0 != 0 dividing m - p0^2 (sqrt(m) itself by default):
+    (a_0, [a_1, ..., a_k], [Q_1, ..., Q_k]) up to one minimal period past the
+    first reduced state r >= 1 (r = 1 for sqrt(m) and (1 + sqrt(m))/2).
 
-    The start has a negative conjugate, so state 1 is reduced and the
-    expansion is purely periodic from there.  Every later Q_j is positive,
-    so a_j = (P_j + isqrt(m)) // Q_j exactly, and
-    Q_(j+1) = Q_(j-1) + a_j*(P_j - P_(j+1)) needs no division.  The period
-    closes when the full state (P, Q) returns to (P_1, Q_1); partial-quotient
-    runs can coincide transiently, states cannot.
+    Before state r, Q can be negative, so a_j is floored exactly for either
+    sign and Q_(j+1) = (m - P_(j+1)^2) / Q_j.  State r (0 < Q <= P + isqrt(m),
+    P <= isqrt(m) < P + Q) is reduced, and from there the expansion is purely
+    periodic with Q > 0, so Q_(j+1) = Q_(j-1) + a_j*(P_j - P_(j+1)) needs no
+    division.  The period closes when the full state (P, Q) returns to
+    (P_r, Q_r); partial-quotient runs can coincide transiently, states cannot.
     """
     root = isqrt(m)[0]
-    a_first = (p0 + root) // q0
-    p1 = a_first * q0 - p0
-    q1 = (m - p1 * p1) // q0
-    p, q, q_prev = p1, q1, q0
+    a_first = (p0 + root) // q0 if q0 > 0 else (p0 + root + 1) // q0
+    p = a_first * q0 - p0
+    q, q_prev = (m - p * p) // q0, q0
     quotients, qs = [], []
+    while not (0 < q <= p + root and p <= root < p + q):
+        a = (p + root) // q if q > 0 else (p + root + 1) // q
+        quotients.append(a)
+        qs.append(q)
+        p_next = a * q - p
+        q, q_prev = (m - p_next * p_next) // q, q
+        p = p_next
+    p_r, q_r = p, q
     while True:
         a = (p + root) // q
         quotients.append(a)
@@ -76,7 +84,7 @@ def _pqa_period(m: int, p0: int = 0, q0: int = 1) -> tuple[int, list[int], list[
         p_next = a * q - p
         q, q_prev = q_prev + a * (p - p_next), q
         p = p_next
-        if p == p1 and q == q1:
+        if p == p_r and q == q_r:
             return a_first, quotients, qs
 
 

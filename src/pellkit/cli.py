@@ -330,6 +330,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse usage error (2) or --help (0)
         return int(exc.code or 0)
+    # Units and solutions can run to far more than CPython's default 4300
+    # digits; argv is parsed above, under the guard.  The setting is
+    # process-wide, so an in-process caller can read the JSON back.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     fmt = args.format
     started = time.perf_counter()
     try:

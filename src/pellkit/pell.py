@@ -16,7 +16,8 @@ N at once and builds the convergents (p_k, q_k) only up to its last hit.
 For larger |N| it comes from the Lagrange-Matthews-Mollin method: one PQa
 run on (z + sqrt(m))/|N| for each square root z of m modulo |N|, so the
 cost follows the period and the factorization of |N|, not the size of the
-fundamental unit.
+fundamental unit.  Every path expands through the one PQa loop,
+`cfrac._pqa_period`, and reads its hits off the Q sequence.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .cfrac import CFExpansion, _convergent_pairs, _pqa_period, cf_sqrt, iter_convergents
+from .cfrac import CFExpansion, _convergent_pairs, _pqa_period, cf_sqrt
 from .intkit import _sqrt_mod, isqrt, squarefree_core
 
 D2MINUS1 = "D2MINUS1"  # m = d^2 - 1, even d
@@ -135,12 +136,13 @@ def _require_nonsquare(m: int, who: str) -> None:
 def _least_unit(exp: CFExpansion) -> tuple[int, int]:
     """The convergent (x, y) at index l-1 of sqrt(m), l the period: the least
     positive solution of x^2 - m*y^2 = (-1)^l, which is the fundamental unit
-    x + y*sqrt(m) of Z[sqrt(m)]."""
+    x + y*sqrt(m) of Z[sqrt(m)].  The pair is read bare off
+    `_convergent_pairs` and its norm is checked once."""
     ell = exp.period_length
-    conv = next(islice(iter_convergents(exp), ell - 1, None))
-    if conv.pell_value != (-1) ** ell:
+    x, y = next(islice(_convergent_pairs(exp.a0, exp.period), ell - 1, None))
+    if x * x - exp.m * y * y != (-1) ** ell:
         raise ArithmeticError("pell: (-1)^l missing at the classical index l-1")
-    return conv.numerator, conv.denominator
+    return x, y
 
 
 def pell_fundamental(m: int) -> tuple[int, int]:
@@ -285,33 +287,6 @@ def _solve_by_convergents(m: int, N: int) -> PellCertificate:
     return PellCertificate(m, N, tuple(found), 2 * ell, "convergents")
 
 
-def _pqa_to_unit(m: int, root: int, p: int, q: int) -> tuple[list[int], bool]:
-    """PQa on (p + sqrt(m))/q, q > 0 dividing m - p^2, root = isqrt(m): the
-    partial quotients a_0, ..., a_(i-1) up to the first Q_i = +-1 (i >= 1)
-    and True, or the quotients of one full period of the reduced cycle the
-    expansion falls into, without such a Q, and False.
-
-    The start need not be reduced and early Q can be negative, so each
-    partial quotient is floored exactly for either sign of Q, and the
-    period is timed from the first reduced state (P, Q): Q > 0, P <= root,
-    P + Q > root and Q <= P + root.
-    """
-    quotients = []
-    first = None
-    while True:
-        a = (p + root) // q if q > 0 else (p + root + 1) // q
-        quotients.append(a)
-        p = a * q - p
-        q = (m - p * p) // q
-        if q == 1 or q == -1:
-            return quotients, True
-        if first is None:
-            if 0 < q <= p + root and p <= root < p + q:
-                first = (p, q)
-        elif (p, q) == first:
-            return quotients, False
-
-
 def _least_positive_member(x: int, y: int, m: int, N: int, u: int, v: int) -> tuple[int, int]:
     """The least member with x, y > 0 of the class +-(x + y*sqrt(m)) * eps^k
     of a solution of x^2 - m*y^2 = N, eps = u + v*sqrt(m) the +1 unit.
@@ -338,19 +313,21 @@ def _solve_by_lmm(m: int, N: int) -> PellCertificate:
     # the PQa expansion of (z + sqrt(m))/|N| gives the class's solution of
     # norm N, or of norm -N to be multiplied by the -1 unit; if there is no
     # such Q_i, or the norm is -N and there is no -1 unit, z has no class.
-    # The pair (G_(i-1), B_(i-1)) at Q_i = +-1 has norm (-1)^i * Q_i * |N|.
+    # qs[i] = Q_(i+1) pairs with (G_i, B_i), of norm (-1)^(i+1) * Q_(i+1) * |N|;
+    # a root counts its steps up to the first Q = +-1, else all of them.
     n = abs(N)
-    root = isqrt(m)[0]
     raw: list[tuple[int, int]] = []
     steps = 0
     for z in _sqrt_mod(m, n):
         if 2 * z > n:
             z -= n
-        quotients, hit = _pqa_to_unit(m, root, z, n)
-        steps += len(quotients)
-        if hit:
-            pairs = _convergent_pairs(quotients[0], quotients[1:], z, n)
-            raw.append(next(islice(pairs, len(quotients) - 1, None)))
+        a0, rest, qs = _pqa_period(m, z, n)
+        hit = next((i for i, q in enumerate(qs) if q == 1 or q == -1), None)
+        if hit is None:
+            steps += 1 + len(rest)
+        else:
+            steps += hit + 1
+            raw.append(next(islice(_convergent_pairs(a0, rest, z, n), hit, None)))
     sols = []
     if raw:
         exp = cf_sqrt(m)

@@ -165,6 +165,34 @@ def reference_bounded_search(m: int, N: int) -> PellCertificate:
     return PellCertificate(m, N, tuple(sols), y_bound + 1, "bounded-search")
 
 
+def reference_pqa_to_unit(m: int, root: int, p: int, q: int) -> tuple[list[int], bool]:
+    """PQa on (p + sqrt(m))/q, q > 0 dividing m - p^2, root = isqrt(m): the
+    partial quotients a_0, ..., a_(i-1) up to the first Q_i = +-1 (i >= 1)
+    and True, or the quotients of one full period of the reduced cycle the
+    expansion falls into, without such a Q, and False.
+
+    The start need not be reduced and early Q can be negative, so each
+    partial quotient is floored exactly for either sign of Q, and the
+    period is timed from the first reduced state (P, Q): Q > 0, P <= root,
+    P + Q > root and Q <= P + root.  An independent reference for
+    `cfrac._pqa_period` from LMM starts: it shares no code with that loop.
+    """
+    quotients = []
+    first = None
+    while True:
+        a = (p + root) // q if q > 0 else (p + root + 1) // q
+        quotients.append(a)
+        p = a * q - p
+        q = (m - p * p) // q
+        if q == 1 or q == -1:
+            return quotients, True
+        if first is None:
+            if 0 < q <= p + root and p <= root < p + q:
+                first = (p, q)
+        elif (p, q) == first:
+            return quotients, False
+
+
 def _kronecker(D: int, n: int) -> int:
     if n == 0:
         return 0

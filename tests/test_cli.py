@@ -149,6 +149,21 @@ def test_unit_command(capsys):
     assert json.loads(out) == {"m": 5, "core": 5, "a": 1, "b": 1, "denom": 2, "norm": -1}
 
 
+def test_solve_json_renders_solutions_past_the_int_str_digit_limit(capsys):
+    rc, out, err = run_cli(capsys, "solve", "5062201", "--N=3", "--format", "json")
+    assert rc == 0 and err == ""
+    data = json.loads(out)
+    assert data["solutions"]
+    assert all(x * x - 5062201 * y * y == 3 for x, y in data["solutions"])
+
+
+def test_unit_json_renders_a_unit_past_the_int_str_digit_limit(capsys):
+    rc, out, err = run_cli(capsys, "unit", "1000000007", "--format", "json")
+    assert rc == 0 and err == ""
+    data = json.loads(out)
+    assert data["a"] ** 2 - 1000000007 * data["b"] ** 2 == data["norm"] in (1, -1)
+
+
 def test_verify_clean_family(capsys):
     rc, out, err = run_cli(capsys, "verify", "F1", "--pmax", "20", "--nmax", "5")
     assert rc == 0

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from pellkit import (QuadraticInteger, brute_force_solve, cf_sqrt, fundamental_unit,
                      gcd, isqrt, iter_convergents, neg_pell, pell_fundamental, rd_unit,
                      solve_pm_N, squarefree_core, unit_norm)
+from pellkit.cfrac import Convergent, _pqa_period
 from pellkit.pell import PellCertificate, _half_unit_scan
 
 from oracle_utils import (_same_class, orbit_closure, period_length, primitive_brute_force,
-                          reference_bounded_search, surd_expansion)
+                          reference_bounded_search, reference_pqa_to_unit, surd_expansion)
 
 BF_Y_MAX = 2000  # the brute-force cap of acceptance criterion 7
 
@@ -371,3 +372,76 @@ def test_lmm_certificate_contains_the_class_of_a_constructed_solution(m, x0, y0)
     cert = solve_pm_N(m, N)
     assert cert.method == "lmm"
     assert any(_same_class((x0, y0), s, m, N) for s in cert.solutions)
+
+
+def test_pqa_period_from_lmm_starts_matches_reference_stepper():
+    # every nonsquare m < 300, n <= 150 with n^2 >= m, and every centred root
+    # z of m modulo n: the first Q = +-1 of the one PQa loop sits where the
+    # reference stepper stops, and without one both cover the same quotients
+    compared = 0
+    for m in range(2, 300):
+        root = isqrt(m)[0]
+        if root * root == m:
+            continue
+        for n in range(2, 151):
+            if n * n < m:
+                continue
+            total = 0
+            for z in range(n):
+                if (z * z - m) % n:
+                    continue
+                if 2 * z > n:
+                    z -= n
+                ref_quotients, ref_hit = reference_pqa_to_unit(m, root, z, n)
+                total += len(ref_quotients)
+                a0, rest, qs = _pqa_period(m, z, n)
+                assert len(rest) == len(qs)
+                hit = next((i for i, q in enumerate(qs) if q in (1, -1)), None)
+                assert (hit is not None) == ref_hit, (m, n, z)
+                if ref_hit:
+                    assert [a0, *rest[:hit]] == ref_quotients, (m, n, z)
+                else:
+                    assert [a0, *rest] == ref_quotients, (m, n, z)
+                compared += 1
+            for N in (n, -n):
+                assert solve_pm_N(m, N).scan_length == 1 + total, (m, N)
+    assert compared > 10**4
+
+
+def _count_convergents(monkeypatch):
+    built = []
+    real = Convergent.__post_init__
+
+    def counting(self):
+        built.append(self.index)
+        real(self)
+    monkeypatch.setattr(Convergent, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("m", [2, 7, 13, 399, 1000000007])
+def test_units_build_no_convergent(monkeypatch, m):
+    built = _count_convergents(monkeypatch)
+    x, y = pell_fundamental(m)
+    assert x * x - m * y * y == 1
+    minus = neg_pell(m)
+    assert minus is None or minus[0] ** 2 - m * minus[1] ** 2 == -1
+    assert abs(fundamental_unit(m).norm) == 1
+    assert built == []
+
+
+def test_lmm_builds_no_convergent(monkeypatch):
+    # the last two have solutions, so the unit multiply runs too
+    built = _count_convergents(monkeypatch)
+    for m, N in ((109, 1000), (109, -1000), (109, 791), (181, 871)):
+        solve_pm_N(m, N)
+    assert built == []
+
+
+def test_fundamental_unit_of_a_long_period_is_fast():
+    # period 71,938: l bare additions on numbers the size of the unit
+    m = 10**11 + 3
+    started = time.perf_counter()
+    unit = fundamental_unit(m)
+    assert time.perf_counter() - started < 30
+    assert unit.denom == 1 and unit.a * unit.a - m * unit.b * unit.b in (1, -1)
