@@ -4,7 +4,9 @@ units, class numbers, family verification, and published-table audits.
 Output formats: human (default), csv, json, markdown.  The three machine
 formats carry field-for-field identical content.  Exit codes are a contract:
 0 success / solutions exist, 1 proven-negative or audit mismatch, 2 usage
-error, 3 family counterexample.
+error, 3 family counterexample, 4 internal limit or broken invariant (a
+factor beyond the deterministic primality range, a class number above the
+enumeration limit, an ArithmeticError).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from .cfrac import cf_sqrt
 from .classgroup import _class_number
 from .families import FAMILY_IDS, gen_members, reproduce_table, verify_member
-from .intkit import factorize, squarefree_core
+from .intkit import FactorizationIncompleteError, factorize, squarefree_core
 from .published_tables import TABLES
 from .pell import brute_force_solve, fundamental_unit, solve_pm_N
 
@@ -345,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
             rc = 2
         else:
             rc = _DISPATCH[args.command](args, fmt)
+    except (FactorizationIncompleteError, ArithmeticError) as exc:
+        print(f"pellkit: {exc}", file=sys.stderr)
+        rc = 4
     except ValueError as exc:
         print(f"pellkit: {exc}", file=sys.stderr)
         rc = 2

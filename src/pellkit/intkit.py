@@ -3,27 +3,27 @@ square-free core, Jacobi symbol, square roots modulo n.
 
 Everything is arbitrary-precision and deterministic.  Nothing here returns a
 probabilistic answer: primality uses a fixed Miller-Rabin witness set that is
-a proven deterministic test below MR_VALID_BELOW, and factorization either
-completes exactly or raises.
+a proven deterministic test below MR_VALID_BELOW, and factorization (trial
+division by small primes, then Brent's rho with fixed starts) certifies every
+prime factor that way.  It completes exactly for every n whose prime factors
+lie below MR_VALID_BELOW, and raises for any other.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
+from itertools import compress
 
 # Witness set of Sorenson & Webster: Miller-Rabin with these 12 bases is a
 # deterministic primality test for every n below this bound.
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MR_VALID_BELOW = 3_317_044_064_679_887_385_961_981
 
-DEFAULT_TRIAL_BOUND = 10_000_000
-TRIAL_BOUND_ENV = "PELLKIT_TRIAL_BOUND"
-
 
 class FactorizationIncompleteError(ValueError):
-    """Trial division hit its bound and the cofactor could not be certified prime."""
+    """A factor is a strong probable prime at or above MR_VALID_BELOW, so it
+    cannot be certified prime."""
 
 
 def isqrt(n: int) -> tuple[int, bool]:
@@ -48,6 +48,12 @@ def is_prime(n: int) -> bool:
             return n == p
     if n >= MR_VALID_BELOW:
         raise ValueError("is_prime: n exceeds the deterministic witness range")
+    return _strong_probable_prime(n)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to every base in MR_WITNESSES, for odd n > 37.  False
+    proves n composite at any size; True proves n prime below MR_VALID_BELOW."""
     d = n - 1
     s = (d & -d).bit_length() - 1  # n-1 = d * 2^s with d odd
     d >>= s
@@ -89,52 +95,106 @@ class Factorization:
         return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
 
 
-def _trial_bound(trial_bound: int | None) -> int:
-    if trial_bound is not None:
-        return trial_bound
-    return int(os.environ.get(TRIAL_BOUND_ENV, DEFAULT_TRIAL_BOUND))
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray(b"\x01") * n
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
 
 
-def factorize(n: int, trial_bound: int | None = None) -> Factorization:
-    """Exact factorization by trial division up to `trial_bound` (default from
-    PELLKIT_TRIAL_BOUND or 10^7), with the cofactor certified prime by
-    is_prime.  Raises FactorizationIncompleteError instead of guessing.
+# Trial division runs over the primes below _TRIAL_LIMIT; a factor below
+# _TRIAL_LIMIT^2 with none of them as a divisor is a prime.
+_TRIAL_LIMIT = 1 << 10
+_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
+_RHO_BATCH = 128  # rho differences multiplied together per gcd
+
+
+def _rho_split(n: int) -> int:
+    """A proper divisor of the odd composite n, which is not a perfect
+    square, by Brent's variant of Pollard's rho.  The map y -> y^2 + c
+    starts at y = 2 with c = 1 and moves to the next c when a run meets n
+    itself; differences are batched into one product per gcd, and a batch
+    that overshoots to n is replayed one step at a time."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def factorize(n: int) -> Factorization:
+    """Exact factorization of n >= 1.
+
+    Trial division by the primes below _TRIAL_LIMIT leaves a cofactor that
+    is 1, a prime, or has every prime factor above _TRIAL_LIMIT.  Every larger
+    factor is certified by is_prime, and a composite one is split as a
+    square or by Brent's rho (_rho_split) until all parts are certified.
+    Nothing is random: the rho starts are fixed.  The work beyond trial
+    division grows as the square root of the second-largest prime factor.
+    A factor that is a strong probable prime at or above MR_VALID_BELOW
+    cannot be certified, and raises FactorizationIncompleteError instead of
+    guessing.
     """
     if n < 1:
         raise ValueError("factorize: n must be >= 1")
-    bound = _trial_bound(trial_bound)
     value = n
     factors = []
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    if e:
-        factors.append((2, e))
-    d = 3
-    while d * d <= n and d <= bound:
-        if n % d == 0:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
             e = 0
-            while n % d == 0:
-                n //= d
+            while n % p == 0:
+                n //= p
                 e += 1
-            factors.append((d, e))
-        d += 2
-    if n > 1:
-        if d * d > n:
-            factors.append((n, 1))  # no factor <= sqrt(n): prime
-        elif n < MR_VALID_BELOW and is_prime(n):
-            factors.append((n, 1))
-        else:
+            factors.append((p, e))
+    large = []
+    pending = [n] if n > 1 else []
+    while pending:
+        f = pending.pop()
+        if f < _TRIAL_LIMIT * _TRIAL_LIMIT or f < MR_VALID_BELOW and is_prime(f):
+            large.append(f)
+        elif f >= MR_VALID_BELOW and _strong_probable_prime(f):
             raise FactorizationIncompleteError(
-                f"factorize: cofactor {n} not resolved with trial bound {bound}"
+                f"factorize: factor {f} cannot be certified prime at or above "
+                f"{MR_VALID_BELOW}"
             )
+        else:
+            r, square = isqrt(f)
+            d = r if square else _rho_split(f)
+            pending += (d, f // d)
+    for p in sorted(large):
+        if factors and factors[-1][0] == p:
+            factors[-1] = (p, factors[-1][1] + 1)
+        else:
+            factors.append((p, 1))
     return Factorization(value, tuple(factors))
 
 
-def squarefree_core(n: int, trial_bound: int | None = None) -> tuple[int, bool]:
+def squarefree_core(n: int) -> tuple[int, bool]:
     """Remove every square factor of n: returns (core, core == n)."""
-    fac = factorize(n, trial_bound)
+    fac = factorize(n)
     core = 1
     for p, e in fac.factors:
         if e % 2:

@@ -5,8 +5,10 @@ import math
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from pellkit import (PellCertificate, brute_force_solve, cf_sqrt, discriminant_of,
-                     factorize, fundamental_unit, pell_fundamental)
+from pellkit import (Factorization, FactorizationIncompleteError, PellCertificate,
+                     brute_force_solve, cf_sqrt, discriminant_of, factorize,
+                     fundamental_unit, is_prime, pell_fundamental)
+from pellkit.intkit import MR_VALID_BELOW
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,44 @@ def euler_phi(n: int) -> int:
         phi //= p
         phi *= p - 1
     return phi
+
+
+def reference_factorize(n: int, trial_bound: int = 10_000_000) -> Factorization:
+    """Exact factorization by trial division up to `trial_bound`, with the
+    cofactor certified prime by is_prime.  Raises
+    FactorizationIncompleteError instead of guessing.  For n < 10^14 the
+    default bound is never reached, so this is trial division to sqrt(n).
+    """
+    if n < 1:
+        raise ValueError("factorize: n must be >= 1")
+    bound = trial_bound
+    value = n
+    factors = []
+    e = 0
+    while n % 2 == 0:
+        n //= 2
+        e += 1
+    if e:
+        factors.append((2, e))
+    d = 3
+    while d * d <= n and d <= bound:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors.append((d, e))
+        d += 2
+    if n > 1:
+        if d * d > n:
+            factors.append((n, 1))  # no factor <= sqrt(n): prime
+        elif n < MR_VALID_BELOW and is_prime(n):
+            factors.append((n, 1))
+        else:
+            raise FactorizationIncompleteError(
+                f"factorize: cofactor {n} not resolved with trial bound {bound}"
+            )
+    return Factorization(value, tuple(factors))
 
 
 def primitive_brute_force(m: int, N: int, y_max: int) -> list[tuple[int, int]]:

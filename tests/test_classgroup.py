@@ -172,9 +172,9 @@ def test_class_number_factorizes_m_once(monkeypatch):
     real = pellkit.intkit.factorize
     calls = []
 
-    def counting(n, trial_bound=None):
+    def counting(n):
         calls.append(n)
-        return real(n, trial_bound)
+        return real(n)
     monkeypatch.setattr(pellkit.intkit, "factorize", counting)
     for m in (399, 443, 4849845):
         calls.clear()

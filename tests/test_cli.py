@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -68,14 +69,39 @@ def test_solve_lmm_no_solution_message(capsys):
                    '"scan_length":13,"solutions":[]}\n')
 
 
-def test_solve_lmm_refuses_an_unfactorable_target(capsys):
-    # |N| = 10000019 * 10000079 > 10^14: both primes exceed the trial bound
+def test_solve_lmm_factors_a_large_semiprime_target(capsys):
+    # |N| = 10000019 * 10000079 > 10^14: both primes are found by rho, and
+    # 109 has no square root modulo |N|, so the search ends at the roots
     N = 10000019 * 10000079
+    rc, out, _ = run_cli(capsys, "solve", "109", str(N), "--format", "json")
+    assert rc == 1
+    assert json.loads(out) == {"m": 109, "N": N, "mode": "lmm", "complete": True,
+                               "scan_length": 1, "solutions": []}
+    assert solve_pm_N(109, N).scan_length == 1
+
+
+def test_internal_limits_exit_4(capsys, monkeypatch):
+    # 2^89 - 1 is prime but above the deterministic Miller-Rabin range
+    N = 3 * (2**89 - 1)
     with pytest.raises(FactorizationIncompleteError):
-        solve_pm_N(109, N)
-    rc, out, err = run_cli(capsys, "solve", "109", str(N))
-    assert rc == 2 and out == ""
-    assert "not resolved with trial bound" in err
+        solve_pm_N(2, N)
+    rc, out, err = run_cli(capsys, "solve", "2", str(N))
+    assert rc == 4 and out == ""
+    assert err.startswith("pellkit: ") and err.count("\n") == 1
+    assert "cannot be certified prime" in err
+    # D = 10000019 * 10000079 = 1 (mod 4): isqrt(D) is past the enumeration limit
+    started = time.perf_counter()
+    rc, out, err = run_cli(capsys, "classno", "100000980001501")
+    assert time.perf_counter() - started < 1
+    assert rc == 4 and out == ""
+    assert err.startswith("pellkit: ") and "enumeration limit" in err
+
+    def broken(m):
+        raise ArithmeticError("class_number: odd narrow class number with a +1 unit")
+    monkeypatch.setattr("pellkit.cli._class_number", broken)
+    rc, out, err = run_cli(capsys, "classno", "399")
+    assert rc == 4 and out == ""
+    assert err == "pellkit: class_number: odd narrow class number with a +1 unit\n"
 
 
 def test_solve_negative_target_both_spellings(capsys):
@@ -123,9 +149,9 @@ def test_classno_factorizes_m_once(capsys, monkeypatch):
     real = pellkit.intkit.factorize
     calls = []
 
-    def counting(n, trial_bound=None):
+    def counting(n):
         calls.append(n)
-        return real(n, trial_bound)
+        return real(n)
     monkeypatch.setattr(pellkit.intkit, "factorize", counting)
     for m in (399, 443, 4849845):
         calls.clear()

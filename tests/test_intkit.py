@@ -1,12 +1,13 @@
 import random
+import time
 
 import pytest
 
 from pellkit import (Factorization, FactorizationIncompleteError, factorize, gcd,
                      is_prime, isqrt, jacobi, squarefree_core)
-from pellkit.intkit import _sqrt_mod
+from pellkit.intkit import MR_VALID_BELOW, _sqrt_mod
 
-from oracle_utils import euler_phi
+from oracle_utils import euler_phi, reference_factorize
 
 
 def test_isqrt_examples():
@@ -79,20 +80,94 @@ def test_factorize_recomposes_and_certifies():
         assert prod == n
 
 
-def test_factorize_incomplete_is_an_error(monkeypatch):
+def test_factorize_incomplete_is_an_error():
+    # 2^89 - 1 is a Mersenne prime above the deterministic Miller-Rabin range:
+    # the unresolved factor cannot be certified, alone or after rho splits
+    # off 1031 (the least prime above the trial-division primes)
+    big = 2**89 - 1
+    assert big >= MR_VALID_BELOW
+    for n in (3 * big, 1031 * big, big):
+        with pytest.raises(FactorizationIncompleteError):
+            factorize(n)
     n = 1000003 * 1000033
-    with pytest.raises(FactorizationIncompleteError):
-        factorize(n, trial_bound=100)
     assert factorize(n).factors == ((1000003, 1), (1000033, 1))
-    monkeypatch.setenv("PELLKIT_TRIAL_BOUND", "100")
-    with pytest.raises(FactorizationIncompleteError):
-        factorize(n)
 
 
 def test_factorize_certifies_large_prime_cofactor():
-    # cofactor above the trial bound but certified by is_prime
+    # cofactor above the trial-division primes but certified by is_prime
     n = 3 * (10**9 + 7)
-    assert factorize(n, trial_bound=1000).factors == ((3, 1), (10**9 + 7, 1))
+    assert factorize(n).factors == ((3, 1), (10**9 + 7, 1))
+
+
+def test_factorize_matches_trial_division_exhaustive():
+    for n in range(1, 10**6 + 1):
+        assert factorize(n).factors == reference_factorize(n).factors, n
+
+
+def test_factorize_matches_trial_division_random():
+    rng = random.Random(13)
+    for _ in range(2000):
+        n = rng.randrange(1, 10**14)
+        assert factorize(n).factors == reference_factorize(n).factors, n
+
+
+def _assert_certified(n, fac):
+    assert fac.value == n
+    prod = 1
+    for p, e in fac.factors:
+        assert is_prime(p), (n, p)
+        prod *= p**e
+    assert prod == n
+
+
+def _random_prime(rng, lo, hi):
+    while True:
+        p = rng.randrange(lo, hi)
+        if is_prime(p):
+            return p
+
+
+def test_factorize_hard_composites():
+    rng = random.Random(17)
+    for _ in range(40):
+        p, q = _random_prime(rng, 10**6, 10**8), _random_prime(rng, 10**6, 10**8)
+        fac = factorize(p * q)
+        _assert_certified(p * q, fac)
+        assert fac.factors == (((p, 2),) if p == q else ((min(p, q), 1), (max(p, q), 1)))
+    for _ in range(10):
+        p = _random_prime(rng, 10**7, 10**9)
+        assert factorize(p * p).factors == ((p, 2),)
+        assert factorize(p**3).factors == ((p, 3),)
+        assert factorize(7 * p**3).factors == ((7, 1), (p, 3))
+    # a prime power beyond the Miller-Rabin range is split by rho, not refused
+    assert factorize((10**6 + 3) ** 5 * 1031**7).factors == ((1031, 7), (10**6 + 3, 5))
+    # Carmichael numbers: the Fermat test mistakes them for primes
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161]
+    k = 1
+    # Chernick's (6k+1)(12k+1)(18k+1); k > 200 puts every factor above the
+    # trial-division primes, so rho has to split them
+    while len(carmichael) < 25:
+        ps = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if k > 200 and all(is_prime(p) for p in ps):
+            carmichael.append(ps[0] * ps[1] * ps[2])
+            assert factorize(carmichael[-1]).factors == tuple((p, 1) for p in ps)
+        k += 1
+    for n in carmichael:
+        _assert_certified(n, factorize(n))
+
+
+def test_squarefree_core_of_a_large_semiprime():
+    n = 10000019 * 10000079
+    assert squarefree_core(n) == (n, True)
+
+
+def test_factorize_twelve_digit_semiprime_is_fast():
+    p, q = 10**12 + 39, 10**12 + 61
+    started = time.perf_counter()
+    fac = factorize(p * q)
+    assert time.perf_counter() - started < 30
+    assert fac.factors == ((p, 1), (q, 1))
 
 
 def test_factorization_validates_itself():
