@@ -3,23 +3,28 @@ primitive indefinite binary quadratic forms and their rho-cycles.
 
 The reduced forms of discriminant D are (+-a, b, -+c) with 0 < b < sqrt(D),
 |sqrt(D) - 2a| < b and b^2 - 4ac = D, so b is a square root of D modulo 4a.
-They are enumerated from those roots: for each a <= sqrt(D), factored by a
-smallest-prime-factor sieve, the roots modulo each prime power of 4a
+They are enumerated from those roots: for each a up to a bound, factored by
+a smallest-prime-factor sieve, the roots modulo each prime power of 4a
 (Tonelli-Shanks, then Hensel lifting one digit at a time) are combined by
 CRT into the roots modulo 2a, and each root class meets the reduction
 window at most once.  An a with a rootless prime power is skipped before it
 is factored, so the work follows the number of roots, not D.
+reduced_forms enumerates every a <= sqrt(D).
 
 The cycle count of discriminant D is the narrow class number h+; the wide
 class number follows from the norm of the fundamental unit (h = h+ when the
-norm is -1, h = h+/2 when it is +1).  Reduced forms alternate in sign
-along a cycle, so every cycle holds a form (a, b, -c) with a, c > 0, and
-the cycles are counted as the orbits of rho^2 on the bare triples (a, b, c)
-of the enumeration: two steps of the bare-int _rho lead from (a, b, -c)
-through (-c, b', c') to the next (a'', b'', -c''), and no IndefiniteForm is
-built.  All sqrt(D) comparisons are done on squares in integer arithmetic:
-a float at the reduction-window boundary can silently merge or split
-cycles.
+norm is -1, h = h+/2 when it is +1).  The count enumerates only the seeds,
+the reduced forms with |a| <= sqrt(D/5).  Every form of discriminant D
+primitively represents some v with 0 < |v| <= sqrt(D/5) (Markov's theorem,
+A. Markoff, Math. Ann. 15 (1879), the bound due to Korkine and
+Zolotarev), and since |v| < sqrt(D)/2 Lagrange's lemma makes v the leading
+coefficient of a reduced form in the same cycle (Buchmann and Vollmer,
+Binary Quadratic Forms (2007), ch. 6).  So every cycle holds a seed, at
+about 0.45*sqrt(D) instead of sqrt(D) values of a.  Each popped seed's
+cycle is walked one rho step at a time on bare ints, and the seeds on it
+are struck; no IndefiniteForm is built.  All sqrt(D) comparisons are done
+on squares in integer arithmetic: a float at the reduction-window boundary
+can silently merge or split cycles.
 """
 
 from __future__ import annotations
@@ -27,14 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
+from typing import Iterator
 
 from .intkit import _sqrt_mod_prime, isqrt, squarefree_core
 from .pell import _unit_norm
 
-# Largest isqrt(D) whose reduced forms are enumerated.  The sieve and the
-# root table hold isqrt(D) entries: at the limit (D near 4*10^12) a class
-# number took 12.8 s and 388 MiB of peak memory on a 2-vCPU VM under
-# CPython 3.11, and anything larger is refused before either is allocated.
+# Largest isqrt(D) whose class number is computed.  The sieve and the root
+# table hold isqrt(D // 5) entries and the seed set grows with them: at the
+# limit (D near 4*10^12) a class number took 5.5 s and 182 MiB of peak
+# memory on a 2-vCPU VM under CPython 3.11, and anything larger is refused
+# before either is allocated.
 MAX_ROOT_D = 2_000_000
 
 
@@ -113,32 +120,33 @@ def _validate_discriminant(D: int) -> int:
     return isqrt(D)[0]
 
 
-def _reduced_triples(D: int, s: int) -> list[tuple[int, int, int]]:
-    """Every (a, b, c) with a, c > 0 such that (a, b, -c) and (-a, b, c) are
-    reduced primitive forms of discriminant D = b^2 + 4ac, s = isqrt(D); in
-    order of a.
+def _reduced_triples(D: int, s: int, amax: int) -> Iterator[tuple[int, int, int]]:
+    """Every (a, b, c) with 0 < a <= amax and c > 0 such that (a, b, -c) and
+    (-a, b, c) are reduced primitive forms of discriminant D = b^2 + 4ac,
+    s = isqrt(D), amax <= s; in order of a.
 
     b^2 = D (mod 4a) depends on b modulo 2a only, so the roots are taken as
     classes modulo 2a: the CRT product of the classes for the 2-part of a
     and the roots modulo each odd prime power of a.  The window
     max(1, s+1-2a, 2a-s) <= b <= s is at most 2a long, so each class gives at
-    most one b.  An a with a rootless prime power is never visited.
+    most one b.  An a with a rootless prime power is never visited.  The
+    sieve and the root table stop at amax.
     """
-    spf = list(range(s + 1))  # smallest prime factor
-    for p in range(2, isqrt(s)[0] + 1):
+    spf = list(range(amax + 1))  # smallest prime factor
+    for p in range(2, isqrt(amax)[0] + 1):
         if spf[p] == p:
-            for j in range(p * p, s + 1, p):
+            for j in range(p * p, amax + 1, p):
                 if spf[j] == j:
                     spf[j] = p
 
-    # roots[q] for q = 1 and each prime power q = p^k <= s: the classes
+    # roots[q] for q = 1 and each prime power q = p^k <= amax: the classes
     # modulo w*q of the roots of x^2 = D (mod w*w*q), w = 2 when p = 2 and
     # w = 1 when p is odd.  Each level is Hensel-lifted from the one below by
     # one p-adic digit.  good[a] = 0 once a prime power of a has no roots.
     roots = {1: [D & 1]}
-    good = bytearray(b"\x01") * (s + 1)
+    good = bytearray(b"\x01") * (amax + 1)
     good[0] = 0
-    for p in range(2, s + 1):
+    for p in range(2, amax + 1):
         if spf[p] != p:
             continue
         if p == 2:
@@ -149,16 +157,15 @@ def _reduced_triples(D: int, s: int) -> list[tuple[int, int, int]]:
             r = _sqrt_mod_prime(D % p, p)
             w, q, found = 1, p, [] if r is None else [r, p - r]
         roots[q] = found
-        while found and q * p <= s:
+        while found and q * p <= amax:
             step, q = w * q, q * p
             found = [x for r in found for x in range(r, w * q, step)
                      if (x * x - D) % (w * w * q) == 0]
             roots[q] = found
         if not found:
-            good[q::q] = bytes(len(range(q, s + 1, q)))
+            good[q::q] = bytes(len(range(q, amax + 1, q)))
 
-    triples = []
-    for a in compress(range(s + 1), good):
+    for a in compress(range(amax + 1), good):
         q = a & -a
         n, classes, mod = a // q, roots[q], 2 * q
         while n > 1:
@@ -176,8 +183,7 @@ def _reduced_triples(D: int, s: int) -> list[tuple[int, int, int]]:
             if b <= s:
                 c = (D - b * b) // (4 * a)
                 if gcd(a, b, c) == 1:
-                    triples.append((a, b, c))
-    return triples
+                    yield a, b, c
 
 
 def reduced_forms(D: int) -> list[IndefiniteForm]:
@@ -186,7 +192,7 @@ def reduced_forms(D: int) -> list[IndefiniteForm]:
     modulo 4a for each a <= sqrt(D)."""
     s = _validate_discriminant(D)
     forms = []
-    for a, b, c in sorted(_reduced_triples(D, s), key=lambda t: (t[1], t[0])):
+    for a, b, c in sorted(_reduced_triples(D, s, s), key=lambda t: (t[1], t[0])):
         forms.append(IndefiniteForm(a, b, -c, D))
         forms.append(IndefiniteForm(-a, b, c, D))
     return forms
@@ -204,28 +210,37 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 
 def _narrow_class_number(D: int) -> int:
-    # Orbits of rho^2 on the triples (a, b, c) of the forms (a, b, -c): each
-    # cycle alternates in sign, so each holds such a form.
+    # Every cycle holds a form (L, b, C) with |L| <= A = isqrt(D // 5): the
+    # seeds.  Walk each popped seed's cycle one rho step at a time (_rho's
+    # reduced branch, inlined) and strike the seeds it passes; the pops are
+    # the cycles.  A seed (L, b) is the int key L*(s+1) + b, 0 < b <= s.
     s = isqrt(D)[0]
     if s > MAX_ROOT_D:
         raise OverflowError(f"narrow_class_number: isqrt(D) = {s} for D = {D} "
                             f"exceeds the enumeration limit {MAX_ROOT_D}")
-    triples = set(_reduced_triples(D, s))
+    A = isqrt(D // 5)[0]
+    k = s + 1
+    seeds = set()
+    for a, b, _ in _reduced_triples(D, s, A):
+        seeds.add(a * k + b)
+        seeds.add(b - a * k)
     cycles = 0
-    while triples:
-        start = t = triples.pop()
+    while seeds:
+        start = seeds.pop()
+        L, b = divmod(start, k)
         cycles += 1
         while True:
-            a, b, c = t
-            a, b, c = _rho(*_rho(a, b, -c, D, s), D, s)
-            t = (a, b, -c)
-            if t == start:
+            L = (b * b - D) // (4 * L)
+            b = s - (s + b) % (2 * abs(L))
+            key = L * k + b
+            if key == start:
                 break
-            try:
-                triples.remove(t)
-            except KeyError:
-                raise ArithmeticError("narrow_class_number: rho left the reduced "
-                                      "forms") from None
+            if -A <= L <= A:
+                try:
+                    seeds.remove(key)
+                except KeyError:
+                    raise ArithmeticError("narrow_class_number: rho left the "
+                                          "reduced forms") from None
     return cycles
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pellkit import (ClassData, IndefiniteForm, class_number, discriminant_of,
                      is_fundamental_discriminant, isqrt, narrow_class_number,
@@ -135,6 +137,41 @@ def test_narrow_class_number_matches_reference_for_every_small_fundamental_D():
         assert narrow_class_number(D) == reference_narrow_class_number(D), D
 
 
+def _rho_cycles(D):
+    """The cycles of the public rho on the public reduced_forms(D), each as
+    a list of coefficient triples: the full-enumeration cycle partition."""
+    forms = {f.coefficients(): f for f in reduced_forms(D)}
+    cycles = []
+    while forms:
+        f = forms.popitem()[1]
+        cycle = [f.coefficients()]
+        g = rho(f)
+        while g != f:
+            cycle.append(forms.pop(g.coefficients()).coefficients())
+            g = rho(g)
+        cycles.append(cycle)
+    return cycles
+
+
+def test_narrow_class_number_matches_full_enumeration_for_every_fundamental_D():
+    # the seeded count against every cycle of every reduced form, D <= 20000
+    Ds = [D for D in range(5, 20001) if is_fundamental_discriminant(D)]
+    assert len(Ds) == 6081
+    for D in Ds:
+        assert narrow_class_number(D) == len(_rho_cycles(D)), D
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(D=st.integers(5, 10**6).filter(is_fundamental_discriminant))
+def test_every_cycle_holds_a_form_with_small_leading_coefficient(D):
+    # Markov (Korkine-Zolotarev): every form of discriminant D primitively
+    # represents some 0 < |v| <= sqrt(D/5) < sqrt(D)/2, and by Lagrange v is
+    # then the leading coefficient of a reduced form in the same cycle
+    A = isqrt(D // 5)[0]
+    for cycle in _rho_cycles(D):
+        assert any(abs(a) <= A for a, _, _ in cycle), (D, cycle)
+
+
 def test_class_number_matches_analytic_formula():
     # m = 1, 2, 3 (mod 4) up to about 1e5, with h from 1 to 21
     for m in (23002, 24999, 30011, 65537, 99989, 99991):
@@ -196,6 +233,25 @@ def test_class_number_builds_no_indefinite_form(monkeypatch):
     # the counter sees the forms that reduced_forms does build
     forms = reduced_forms(discriminant_of(399))
     assert len(built) == len(forms) == 56
+
+
+def test_class_number_enumerates_only_the_small_seeds(monkeypatch):
+    import pellkit.classgroup
+    real = pellkit.classgroup._reduced_triples
+    asked = []
+
+    def recording(D, s, amax):
+        asked.append((D, amax))
+        return real(D, s, amax)
+    monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", recording)
+    for m in (399, 443, 4849845):
+        D = discriminant_of(m)
+        asked.clear()
+        class_number(m)
+        assert asked == [(D, isqrt(D // 5)[0])], m
+        asked.clear()
+        reduced_forms(D)
+        assert asked == [(D, isqrt(D)[0])], m
 
 
 def test_class_data_invariant():
