@@ -12,6 +12,7 @@ enumeration limit, an ArithmeticError).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -80,10 +81,8 @@ def _emit_object(obj: dict, fmt: str, human: str) -> None:
         sys.stdout.write(human + "\n")
     elif fmt == "json":
         _emit_json(obj)
-    elif fmt == "csv":
-        _emit_csv([obj])
     else:
-        _emit_markdown([obj])
+        _emit_rows([obj], fmt)
 
 
 def _emit_rows(rows: list[dict], fmt: str) -> None:
@@ -98,12 +97,23 @@ def _emit_rows(rows: list[dict], fmt: str) -> None:
         _emit_markdown(rows)
 
 
-def _core_note(m: int, core: int) -> str:
+def _core_note(m: int, core: int, noun: str) -> str:
     square_part = factorize(m // core)
-    return f"{m} = {square_part}*{core}; h computed for {core}"
+    return f"{m} = {square_part}*{core}; {noun} computed for {core}"
 
 
 # --------------------------------------------------------------- subcommands
+
+def _field_core(command: str, m: int) -> tuple[int, bool]:
+    """The square-free core of m and whether m is square-free; `unit` and
+    `classno` refuse m < 2 and perfect squares."""
+    if m < 2:
+        raise ValueError(f"{command}: m must be >= 2")
+    core, is_sf = squarefree_core(m)
+    if core < 2:
+        raise ValueError(f"{command}: m must not be a perfect square")
+    return core, is_sf
+
 
 def _cmd_cf(args, fmt: str) -> int:
     exp = cf_sqrt(args.m)
@@ -154,34 +164,26 @@ def _cmd_solve(args, fmt: str) -> int:
 
 
 def _cmd_unit(args, fmt: str) -> int:
-    if args.m < 2:
-        raise ValueError("unit: m must be >= 2")
-    core, is_sf = squarefree_core(args.m)
-    if core < 2:
-        raise ValueError("unit: m must not be a perfect square")
+    core, is_sf = _field_core("unit", args.m)
     u = fundamental_unit(core)
     obj = {"m": args.m, "core": core, "a": u.a, "b": u.b, "denom": u.denom,
            "norm": u.norm}
     lines = []
     if not is_sf:
-        lines.append(_core_note(args.m, core).replace("h computed", "unit computed"))
+        lines.append(_core_note(args.m, core, "unit"))
     lines.append(f"fundamental unit of Q(sqrt({core})) = {u}, norm {u.norm:+d}")
     _emit_object(obj, fmt, "\n".join(lines))
     return 0
 
 
 def _cmd_classno(args, fmt: str) -> int:
-    if args.m < 2:
-        raise ValueError("classno: m must be >= 2")
-    core, is_sf = squarefree_core(args.m)
-    if core < 2:
-        raise ValueError("classno: m must not be a perfect square")
+    core, is_sf = _field_core("classno", args.m)
     data = _class_number(core)
     obj = {"m": args.m, "core": core, "D": data.D, "h": data.h_wide,
            "h_narrow": data.h_narrow, "unit_norm": data.unit_norm}
     lines = []
     if not is_sf:
-        lines.append(_core_note(args.m, core))
+        lines.append(_core_note(args.m, core, "h"))
     lines.append(f"h={data.h_wide} (h_narrow={data.h_narrow}, "
                  f"unit norm {data.unit_norm:+d}, D={data.D})")
     _emit_object(obj, fmt, "\n".join(lines))
@@ -255,6 +257,7 @@ def _cmd_seed_tables(fmt: str) -> int:
 
 # -------------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pellkit",
@@ -268,15 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="report elapsed wall time on stderr")
     sub = parser.add_subparsers(dest="command")
 
-    def common(sp):
-        sp.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS,
-                        help="output format (default: human)")
-        sp.add_argument("--timing", action="store_true", default=argparse.SUPPRESS,
-                        help="report elapsed wall time on stderr")
-
     sp = sub.add_parser("cf", help="continued fraction of sqrt(m)")
     sp.add_argument("m", type=int)
-    common(sp)
+    sp.set_defaults(run=_cmd_cf)
 
     sp = sub.add_parser(
         "solve", help="decide x^2 - m*y^2 = N",
@@ -289,15 +286,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="target N (alternative to the positional form)")
     sp.add_argument("--ymax", type=int, default=None,
                     help="brute-force mode: search 1 <= y <= ymax only")
-    common(sp)
+    sp.set_defaults(run=_cmd_solve)
 
     sp = sub.add_parser("unit", help="fundamental unit of Q(sqrt(m))")
     sp.add_argument("m", type=int)
-    common(sp)
+    sp.set_defaults(run=_cmd_unit)
 
     sp = sub.add_parser("classno", help="class number of Q(sqrt(m))")
     sp.add_argument("m", type=int)
-    common(sp)
+    sp.set_defaults(run=_cmd_classno)
 
     sp = sub.add_parser("verify", help="verify the solvability pattern over a family")
     sp.add_argument("family", choices=FAMILY_IDS)
@@ -307,23 +304,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="keep only primes passing the family's congruence")
     sp.add_argument("--allow-n0", action="store_true",
                     help="admit n = 0 (F3/F4 only; reaches the m = 7 exception)")
-    common(sp)
+    sp.set_defaults(run=_cmd_verify)
 
     sp = sub.add_parser("tables", help="recompute a published table and flag typos")
     sp.add_argument("table", type=int, choices=(1, 2, 3, 4))
-    common(sp)
+    sp.set_defaults(run=_cmd_tables)
 
+    # The global flags again after each command's own arguments (so --help
+    # keeps its order), as fresh actions: a shared Action would share its
+    # default.  SUPPRESS keeps a value given before the command.
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS,
+                        help="output format (default: human)")
+        sp.add_argument("--timing", action="store_true", default=argparse.SUPPRESS,
+                        help="report elapsed wall time on stderr")
     return parser
-
-
-_DISPATCH = {
-    "cf": _cmd_cf,
-    "solve": _cmd_solve,
-    "unit": _cmd_unit,
-    "classno": _cmd_classno,
-    "verify": _cmd_verify,
-    "tables": _cmd_tables,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -346,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             rc = 2
         else:
-            rc = _DISPATCH[args.command](args, fmt)
+            rc = args.run(args, fmt)
     except (FactorizationIncompleteError, ArithmeticError) as exc:
         print(f"pellkit: {exc}", file=sys.stderr)
         rc = 4

@@ -117,11 +117,13 @@ def gen_members(family: str, p_max: int, n_max: int,
     spec = family_spec(family)
     members = []
     for p in range(2, p_max + 1):
-        if not is_prime(p):
+        p_is_prime = is_prime(p)
+        if not p_is_prime:
             continue
         if spec.odd_d and p == 2:
             continue
-        if require_congruence and not spec.congruence_ok(p):
+        congruence_ok = spec.congruence_ok(p)
+        if require_congruence and not congruence_ok:
             continue
         n_start = 0 if (allow_n0 and spec.odd_d) else 1
         for n in range(n_start, n_max + 1):
@@ -133,9 +135,9 @@ def gen_members(family: str, p_max: int, n_max: int,
                 continue
             members.append(FamilyMember(
                 family=family, p=p, n=n, d=d, m=m,
-                p_is_prime=is_prime(p),
+                p_is_prime=p_is_prime,
                 m_is_squarefree=squarefree_core(m)[1],
-                congruence_ok=spec.congruence_ok(p),
+                congruence_ok=congruence_ok,
                 phi_gt_4=check_yamaguchi_hypothesis(m),
             ))
     members.sort(key=lambda mem: (mem.p, mem.n))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -280,6 +281,45 @@ def test_timing_goes_to_stderr(capsys):
     rc, out, err = run_cli(capsys, "cf", "2", "--timing")
     assert rc == 0
     assert "elapsed:" in err and "elapsed:" not in out
+
+
+def test_global_flags_go_before_or_after_the_command(capsys):
+    _, after, _ = run_cli(capsys, "cf", "2", "--format", "json")
+    rc, before, _ = run_cli(capsys, "--format", "json", "cf", "2")
+    assert rc == 0 and before == after
+    rc, out, _ = run_cli(capsys, "--format", "json", "cf", "2", "--format", "csv")
+    assert rc == 0 and out == "m,a0,period,period_length\n2,1,2,1\n"
+    rc, out, err = run_cli(capsys, "--timing", "cf", "2")
+    assert rc == 0 and out == "sqrt(2) = [1; 2], period 1\n"
+    assert err.startswith("elapsed:") and err.count("\n") == 1
+
+
+def test_main_keeps_no_state_between_calls(capsys, monkeypatch):
+    run_cli(capsys, "verify", "F4", "--allow-n0", "--pmax", "3", "--nmax", "1")
+    rc, out, _ = run_cli(capsys, "verify", "F4", "--pmax", "3", "--nmax", "1",
+                         "--format", "csv")
+    assert rc == 0 and [row.split(",")[2] for row in out.splitlines()[1:]] == ["1"]
+    assert run_cli(capsys, "solve", "7", "--N=-3")[0] == 0
+    rc, _, err = run_cli(capsys, "solve", "7", "5")
+    assert rc == 1 and err == ""
+    run_cli(capsys, "cf", "2", "--format", "json")
+    assert run_cli(capsys, "cf", "2")[1] == "sqrt(2) = [1; 2], period 1\n"
+    assert run_cli(capsys, "nonsense")[0] == 2
+    assert run_cli(capsys, "--help")[0] == 0
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argvs = (["cf", "2"], ["solve", "7", "--N=-3"], ["--format", "csv", "classno", "399"],
+             ["nonsense"], ["unit", "5", "--timing"])
+    for i in range(20):
+        main(list(argvs[i % len(argvs)]))
+    capsys.readouterr()
+    assert built == []
 
 
 def test_module_entry_point():
