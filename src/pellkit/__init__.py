@@ -6,11 +6,9 @@ Every function is pure and deterministic; all integers are arbitrary
 precision.  Values are safe to share across threads or processes.
 """
 
-from .cfrac import CFExpansion, Convergent, cf_sqrt, convergents, iter_convergents
-from .classgroup import (ClassData, IndefiniteForm, class_number,
-                         discriminant_of, is_fundamental_discriminant,
-                         narrow_class_number, reduced_forms, rho)
-from .classgroup import reduce as reduce_form
+from .cfrac import CFExpansion, cf_sqrt
+from .classgroup import (ClassData, class_number, discriminant_of,
+                         is_fundamental_discriminant, narrow_class_number)
 from .families import (EXCEPTIONAL_SOLUTIONS, FAMILY_IDS, FamilyMember,
                        FamilySpec, TableRow, VerificationReport,
                        check_yamaguchi_hypothesis, class_conclusion,
@@ -26,17 +24,17 @@ from .pell import (D2MINUS1, D2MINUS2, D2PLUS2, D2PLUS3, RD_FAMILIES,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CFExpansion", "ClassData", "Convergent", "D2MINUS1", "D2MINUS2",
+    "CFExpansion", "ClassData", "D2MINUS1", "D2MINUS2",
     "D2PLUS2", "D2PLUS3", "EXCEPTIONAL_SOLUTIONS", "FAMILY_IDS",
     "Factorization", "FactorizationIncompleteError", "FamilyMember",
-    "FamilySpec", "IndefiniteForm", "PellCertificate", "QuadraticInteger",
+    "FamilySpec", "PellCertificate", "QuadraticInteger",
     "RD_FAMILIES", "TableRow", "VerificationReport",
     "brute_force_solve", "cf_sqrt", "check_yamaguchi_hypothesis",
-    "class_conclusion", "class_number", "convergents", "discriminant_of",
+    "class_conclusion", "class_number", "discriminant_of",
     "factorize", "family_spec", "fundamental_unit", "gcd",
     "gen_members", "is_fundamental_discriminant", "is_prime", "isqrt",
-    "iter_convergents", "jacobi", "narrow_class_number", "neg_pell",
-    "pell_fundamental", "rd_unit", "reduce_form",
-    "reduced_forms", "reproduce_table", "rho", "solve_pm_N",
+    "jacobi", "narrow_class_number", "neg_pell",
+    "pell_fundamental", "rd_unit",
+    "reproduce_table", "solve_pm_N",
     "squarefree_core", "unit_norm", "verify_member",
 ]

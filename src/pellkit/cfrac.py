@@ -1,22 +1,21 @@
 """Periodic continued fractions through the integer-only PQa recurrence,
-plus convergents carrying their Pell values x^2 - m*y^2.
+and their convergents on bare ints.
 
 One bare-int PQa loop, `_pqa_period`, expands (P + sqrt(m))/Q from any
 start and keeps the Q sequence: for sqrt(m) the convergents satisfy
 p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1), so `pell` reads Pell values off Q
 as small integers and builds convergents only where it needs them.
 Convergents come from one lazy bare-int recurrence, `_convergent_pairs`,
-which also builds the units and the LMM solutions of `pell`;
-`iter_convergents` wraps its pairs as validated convergents.
+which also builds the units and the LMM solutions of `pell`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, cycle, islice
+from itertools import chain, cycle
 from typing import Iterator, Sequence
 
-from .intkit import gcd, isqrt
+from .intkit import isqrt
 
 
 @dataclass(frozen=True)
@@ -35,20 +34,6 @@ class CFExpansion:
             raise ValueError("CFExpansion: a0 must be floor(sqrt(m))")
         if self.period[-1] != 2 * self.a0:
             raise ValueError("CFExpansion: period must end with 2*a0")
-
-
-@dataclass(frozen=True)
-class Convergent:
-    """Truncation p_k/q_k of sqrt(m) with pell_value = p_k^2 - m*q_k^2."""
-
-    index: int
-    numerator: int
-    denominator: int
-    pell_value: int
-
-    def __post_init__(self):
-        if gcd(self.numerator, self.denominator) != 1:
-            raise ValueError("Convergent: numerator and denominator must be coprime")
 
 
 def _pqa_period(m: int, p0: int = 0, q0: int = 1) -> tuple[int, list[int], list[int]]:
@@ -110,18 +95,3 @@ def cf_sqrt(m: int) -> CFExpansion:
         raise ValueError(f"cf_sqrt: m must be >= 2 and not a perfect square (got {m})")
     a0, period, _ = _pqa_period(m)
     return CFExpansion(m, a0, tuple(period), len(period))
-
-
-def iter_convergents(exp: CFExpansion) -> Iterator[Convergent]:
-    """Lazily yield convergents of sqrt(m); numerators grow exponentially, so
-    callers slice rather than materialize."""
-    m = exp.m
-    for k, (p, q) in enumerate(_convergent_pairs(exp.a0, exp.period)):
-        yield Convergent(k, p, q, p * p - m * q * q)
-
-
-def convergents(exp: CFExpansion, count: int) -> list[Convergent]:
-    """First `count` convergents of the expansion."""
-    if count < 1:
-        raise ValueError("convergents: count must be >= 1")
-    return list(islice(iter_convergents(exp), count))

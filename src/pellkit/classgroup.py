@@ -9,7 +9,6 @@ a smallest-prime-factor sieve, the roots modulo each prime power of 4a
 CRT into the roots modulo 2a, and each root class meets the reduction
 window at most once.  An a with a rootless prime power is skipped before it
 is factored, so the work follows the number of roots, not D.
-reduced_forms enumerates every a <= sqrt(D).
 
 The cycle count of discriminant D is the narrow class number h+; the wide
 class number follows from the norm of the fundamental unit (h = h+ when the
@@ -22,9 +21,9 @@ coefficient of a reduced form in the same cycle (Buchmann and Vollmer,
 Binary Quadratic Forms (2007), ch. 6).  So every cycle holds a seed, at
 about 0.45*sqrt(D) instead of sqrt(D) values of a.  Each popped seed's
 cycle is walked one rho step at a time on bare ints, and the seeds on it
-are struck; no IndefiniteForm is built.  All sqrt(D) comparisons are done
-on squares in integer arithmetic: a float at the reduction-window boundary
-can silently merge or split cycles.
+are struck.  All sqrt(D) comparisons are done on squares in integer
+arithmetic: a float at the reduction-window boundary can silently merge or
+split cycles.
 """
 
 from __future__ import annotations
@@ -43,81 +42,6 @@ from .pell import _unit_norm
 # memory on a 2-vCPU VM under CPython 3.11, and anything larger is refused
 # before either is allocated.
 MAX_ROOT_D = 2_000_000
-
-
-@dataclass(frozen=True)
-class IndefiniteForm:
-    """Primitive integral form a*x^2 + b*x*y + c*y^2 of discriminant
-    D = b^2 - 4ac > 0, D nonsquare."""
-
-    a: int
-    b: int
-    c: int
-    D: int
-
-    def __post_init__(self):
-        if self.a == 0 or self.c == 0:
-            raise ValueError("IndefiniteForm: outer coefficients must be nonzero")
-        if self.b * self.b - 4 * self.a * self.c != self.D:
-            raise ValueError("IndefiniteForm: discriminant mismatch")
-        if self.D <= 0 or isqrt(self.D)[1]:
-            raise ValueError("IndefiniteForm: discriminant must be positive nonsquare")
-        if gcd(self.a, self.b, self.c) != 1:
-            raise ValueError("IndefiniteForm: form must be primitive")
-
-    def is_reduced(self) -> bool:
-        # |sqrt(D) - 2|a|| < b < sqrt(D), decided on integers
-        s = isqrt(self.D)[0]
-        if self.b <= 0 or self.b > s:
-            return False
-        ta = 2 * abs(self.a)
-        return ta - self.b <= s and ta + self.b >= s + 1
-
-    def coefficients(self) -> tuple[int, int, int]:
-        return self.a, self.b, self.c
-
-
-def _rho(a: int, b: int, c: int, D: int, s: int) -> tuple[int, int, int]:
-    # Successor (c, b', *) of (a, b, c), s = isqrt(D), with b' = -b (mod 2|c|)
-    # placed in the standard window: (-|c|, |c|] while |c| > sqrt(D), else
-    # (sqrt(D) - 2|c|, sqrt(D)).  Every reduced form has |c| <= s.
-    cabs = abs(c)
-    if cabs > s:
-        b2 = -b % (2 * cabs)
-        if b2 > cabs:
-            b2 -= 2 * cabs
-    else:
-        b2 = s - (s + b) % (2 * cabs)
-    return c, b2, (b2 * b2 - D) // (4 * c)
-
-
-def _rho_step(f: IndefiniteForm) -> IndefiniteForm:
-    return IndefiniteForm(*_rho(f.a, f.b, f.c, f.D, isqrt(f.D)[0]), f.D)
-
-
-def reduce(f: IndefiniteForm) -> IndefiniteForm:
-    """A reduced form equivalent to f (identity on already-reduced forms)."""
-    steps = 0
-    while not f.is_reduced():
-        f = _rho_step(f)
-        steps += 1
-        if steps > 10_000:
-            raise ArithmeticError("reduce: reduction did not terminate")
-    return f
-
-
-def rho(f: IndefiniteForm) -> IndefiniteForm:
-    """Cycle successor of a reduced form; iterating returns to f after the
-    (even) cycle length."""
-    if not f.is_reduced():
-        raise ValueError("rho: form must be reduced")
-    return _rho_step(f)
-
-
-def _validate_discriminant(D: int) -> int:
-    if D <= 0 or D % 4 not in (0, 1) or isqrt(D)[1]:
-        raise ValueError(f"invalid indefinite discriminant {D}")
-    return isqrt(D)[0]
 
 
 def _reduced_triples(D: int, s: int, amax: int) -> Iterator[tuple[int, int, int]]:
@@ -186,18 +110,6 @@ def _reduced_triples(D: int, s: int, amax: int) -> Iterator[tuple[int, int, int]
                     yield a, b, c
 
 
-def reduced_forms(D: int) -> list[IndefiniteForm]:
-    """Every reduced primitive form of discriminant D, sorted by b, then a,
-    with (a, b, -c) before (-a, b, c).  b runs over the square roots of D
-    modulo 4a for each a <= sqrt(D)."""
-    s = _validate_discriminant(D)
-    forms = []
-    for a, b, c in sorted(_reduced_triples(D, s, s), key=lambda t: (t[1], t[0])):
-        forms.append(IndefiniteForm(a, b, -c, D))
-        forms.append(IndefiniteForm(-a, b, c, D))
-    return forms
-
-
 def is_fundamental_discriminant(D: int) -> bool:
     if D <= 0 or isqrt(D)[1]:
         return False
@@ -211,9 +123,11 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 def _narrow_class_number(D: int) -> int:
     # Every cycle holds a form (L, b, C) with |L| <= A = isqrt(D // 5): the
-    # seeds.  Walk each popped seed's cycle one rho step at a time (_rho's
-    # reduced branch, inlined) and strike the seeds it passes; the pops are
-    # the cycles.  A seed (L, b) is the int key L*(s+1) + b, 0 < b <= s.
+    # seeds.  Walk each popped seed's cycle one rho step at a time and
+    # strike the seeds it passes; the pops are the cycles.  The successor of
+    # a reduced (L, b, C) is (C, b', *) with b' = -b (mod 2|C|) in the window
+    # (s - 2|C|, s], so only L and b are carried.  A seed (L, b) is the int
+    # key L*(s+1) + b, 0 < b <= s.
     s = isqrt(D)[0]
     if s > MAX_ROOT_D:
         raise OverflowError(f"narrow_class_number: isqrt(D) = {s} for D = {D} "

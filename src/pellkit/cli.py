@@ -169,7 +169,7 @@ def _cmd_unit(args, fmt: str) -> int:
     obj = {"m": args.m, "core": core, "a": u.a, "b": u.b, "denom": u.denom,
            "norm": u.norm}
     lines = []
-    if not is_sf:
+    if not is_sf and fmt == "human":  # the note factorizes m // core
         lines.append(_core_note(args.m, core, "unit"))
     lines.append(f"fundamental unit of Q(sqrt({core})) = {u}, norm {u.norm:+d}")
     _emit_object(obj, fmt, "\n".join(lines))
@@ -182,7 +182,7 @@ def _cmd_classno(args, fmt: str) -> int:
     obj = {"m": args.m, "core": core, "D": data.D, "h": data.h_wide,
            "h_narrow": data.h_narrow, "unit_norm": data.unit_norm}
     lines = []
-    if not is_sf:
+    if not is_sf and fmt == "human":  # the note factorizes m // core
         lines.append(_core_note(args.m, core, "h"))
     lines.append(f"h={data.h_wide} (h_narrow={data.h_narrow}, "
                  f"unit norm {data.unit_norm:+d}, D={data.D})")

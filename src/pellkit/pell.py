@@ -74,20 +74,6 @@ class QuadraticInteger:
             raise ArithmeticError("QuadraticInteger: norm is not an integer")
         return num // d2
 
-    def __mul__(self, other: "QuadraticInteger") -> "QuadraticInteger":
-        if not isinstance(other, QuadraticInteger):
-            return NotImplemented
-        if other.m != self.m:
-            raise ValueError("QuadraticInteger: mixed radicands")
-        a = self.a * other.a + self.b * other.b * self.m
-        b = self.a * other.b + self.b * other.a
-        denom = self.denom * other.denom
-        while denom % 2 == 0 and a % 2 == 0 and b % 2 == 0:
-            a, b, denom = a // 2, b // 2, denom // 2
-        if denom > 2:
-            raise ArithmeticError("QuadraticInteger: product fell outside the order")
-        return QuadraticInteger(a, b, self.m, denom)
-
     def __str__(self):
         if self.b == 0:
             body = str(self.a)

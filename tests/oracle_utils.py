@@ -299,18 +299,19 @@ def _is_reduced(a: int, b: int, c: int, D: int) -> bool:
             and (lo < 0 or lo * lo < D) and hi * hi > D)
 
 
-def reference_narrow_class_number(D: int) -> int:
-    """Number of rho-cycles on reference_reduced_forms(D).  The successor of
-    a reduced (a, b, c) is the one reduced form (c, b', c') with
-    b' = -b (mod 2|c|), found by testing every such 0 < b' < sqrt(D) against
-    the reduction conditions.  Every successor must be a reference form not
-    yet walked, and every walk must come back to the form it started from."""
+def reference_rho_cycles(D: int) -> list[list[tuple[int, int, int]]]:
+    """The rho-cycles of reference_reduced_forms(D), each as its list of
+    forms in walk order.  The successor of a reduced (a, b, c) is the one
+    reduced form (c, b', c') with b' = -b (mod 2|c|), found by testing every
+    such 0 < b' < sqrt(D) against the reduction conditions.  Every successor
+    must be a reference form not yet walked, and every walk must come back
+    to the form it started from."""
     unseen = set(reference_reduced_forms(D))
-    cycles = 0
+    cycles = []
     while unseen:
-        cycles += 1
         start = f = min(unseen)
         unseen.remove(start)
+        cycle = [start]
         while True:
             a, b, c = f
             step = 2 * abs(c)
@@ -324,4 +325,11 @@ def reference_narrow_class_number(D: int) -> int:
                 break
             assert f in unseen, (D, f, "left the reduced forms or closed early")
             unseen.remove(f)
+            cycle.append(f)
+        cycles.append(cycle)
     return cycles
+
+
+def reference_narrow_class_number(D: int) -> int:
+    """Number of rho-cycles on reference_reduced_forms(D)."""
+    return len(reference_rho_cycles(D))

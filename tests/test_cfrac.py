@@ -3,7 +3,8 @@ from itertools import islice
 
 import pytest
 
-from pellkit import cf_sqrt, convergents, gcd, isqrt, iter_convergents
+from pellkit import cf_sqrt, gcd, isqrt
+from pellkit.cfrac import _convergent_pairs
 
 from oracle_utils import SurdState, period_length
 
@@ -24,20 +25,17 @@ def test_cf_sqrt_rejects_squares_and_small(bad):
         cf_sqrt(bad)
 
 
+def _pell_values(m, count):
+    """(p_k, q_k, p_k^2 - m*q_k^2) for the first `count` convergents of sqrt(m)."""
+    exp = cf_sqrt(m)
+    return [(p, q, p * p - m * q * q)
+            for p, q in islice(_convergent_pairs(exp.a0, exp.period), count)]
+
+
 def test_convergents_examples():
-    got = [(c.numerator, c.denominator, c.pell_value)
-           for c in convergents(cf_sqrt(2), 3)]
-    assert got == [(1, 1, -1), (3, 2, 1), (7, 5, -1)]
-
-    got = [(c.numerator, c.denominator, c.pell_value)
-           for c in convergents(cf_sqrt(399), 2)]
-    assert got == [(19, 1, -38), (20, 1, 1)]
-
-    last = convergents(cf_sqrt(7), 4)[-1]
-    assert (last.numerator, last.denominator, last.pell_value) == (8, 3, 1)
-
-    with pytest.raises(ValueError):
-        convergents(cf_sqrt(2), 0)
+    assert _pell_values(2, 3) == [(1, 1, -1), (3, 2, 1), (7, 5, -1)]
+    assert _pell_values(399, 2) == [(19, 1, -38), (20, 1, 1)]
+    assert _pell_values(7, 4)[-1] == (8, 3, 1)
 
 
 def test_period_length_examples():
@@ -60,10 +58,9 @@ def test_plus_one_sits_at_the_classical_index():
     for m in range(2, 2001):
         if isqrt(m)[1]:
             continue
-        exp = cf_sqrt(m)
-        ell = exp.period_length
+        ell = cf_sqrt(m).period_length
         span = ell if ell % 2 == 0 else 2 * ell
-        values = [c.pell_value for c in convergents(exp, span)]
+        values = [v for _, _, v in _pell_values(m, span)]
         expected = ell - 1 if ell % 2 == 0 else 2 * ell - 1
         assert [k for k, v in enumerate(values) if v == 1] == [expected], m
 
@@ -73,8 +70,8 @@ def test_pell_value_bound():
         if isqrt(m)[1]:
             continue
         exp = cf_sqrt(m)
-        for c in convergents(exp, 2 * exp.period_length):
-            assert abs(c.pell_value) < 2 * exp.a0 + 1, (m, c)
+        for p, q, v in _pell_values(m, 2 * exp.period_length):
+            assert abs(v) < 2 * exp.a0 + 1, (m, p, q)
 
 
 def test_convergents_are_coprime_and_recur():
@@ -84,13 +81,13 @@ def test_convergents_are_coprime_and_recur():
         if isqrt(m)[1]:
             continue
         exp = cf_sqrt(m)
-        convs = convergents(exp, 12)
+        convs = list(islice(_convergent_pairs(exp.a0, exp.period), 12))
         terms = [exp.a0] + [exp.period[k % exp.period_length] for k in range(11)]
         for k in range(2, 12):
             a = terms[k]
-            assert convs[k].numerator == a * convs[k - 1].numerator + convs[k - 2].numerator
-            assert convs[k].denominator == a * convs[k - 1].denominator + convs[k - 2].denominator
-        assert all(gcd(c.numerator, c.denominator) == 1 for c in convs)
+            assert convs[k][0] == a * convs[k - 1][0] + convs[k - 2][0]
+            assert convs[k][1] == a * convs[k - 1][1] + convs[k - 2][1]
+        assert all(gcd(p, q) == 1 for p, q in convs)
 
 
 def _state_sequence(m, count):
@@ -122,5 +119,4 @@ def test_surd_state_validation():
     with pytest.raises(ValueError):
         SurdState(1, 3, 5)  # 3 does not divide 5 - 1
     # lazily sliceable stream
-    first = next(islice(iter_convergents(cf_sqrt(2)), 5, None))
-    assert first.index == 5
+    assert next(islice(_convergent_pairs(1, (2,)), 5, None)) == (99, 70)

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pellkit import (ClassData, IndefiniteForm, class_number, discriminant_of,
+from pellkit import (ClassData, class_number, discriminant_of,
                      is_fundamental_discriminant, isqrt, narrow_class_number,
-                     reduce_form, reduced_forms, rho, squarefree_core)
+                     squarefree_core)
+from pellkit.classgroup import _reduced_triples
 from oracle_utils import (analytic_class_number, reference_narrow_class_number,
-                          reference_reduced_forms)
+                          reference_reduced_forms, reference_rho_cycles)
 
 
 def test_discriminant_of_examples():
@@ -19,50 +20,11 @@ def test_discriminant_of_examples():
         discriminant_of(1)
 
 
-def test_form_validation():
-    with pytest.raises(ValueError):
-        IndefiniteForm(1, 2, -1, 9)  # discriminant mismatch
-    with pytest.raises(ValueError):
-        IndefiniteForm(2, 0, -2, 16)  # square discriminant
-    with pytest.raises(ValueError):
-        IndefiniteForm(2, 2, -2, 20)  # imprimitive
-    with pytest.raises(ValueError):
-        IndefiniteForm(0, 2, -1, 4)
-
-
-def test_reduce_examples():
-    got = reduce_form(IndefiniteForm(1, 0, -2, 8))
-    assert got.is_reduced()
-    assert got.coefficients() in {(1, 2, -1), (-1, 2, 1)}
-
-    already = IndefiniteForm(1, 2, -1, 8)
-    assert reduce_form(already) == already  # idempotent on reduced forms
-
-    got = reduce_form(IndefiniteForm(-1, 0, 2, 8))
-    assert got.coefficients() in {(1, 2, -1), (-1, 2, 1)}
-
-
-def test_rho_principal_cycle_d8():
-    f = IndefiniteForm(1, 2, -1, 8)
-    g = rho(f)
-    assert g == IndefiniteForm(-1, 2, 1, 8)
-    assert rho(g) == f
-
-
-def test_rho_rejects_non_reduced():
-    with pytest.raises(ValueError):
-        rho(IndefiniteForm(1, 0, -2, 8))
-
-
 def test_reduced_forms_examples():
-    assert {f.coefficients() for f in reduced_forms(8)} == {(1, 2, -1), (-1, 2, 1)}
+    assert list(_reduced_triples(8, 2, 2)) == [(1, 2, 1)]  # (1, 2, -1), (-1, 2, 1)
     assert narrow_class_number(8) == 1
     assert narrow_class_number(40) == 2
     assert narrow_class_number(1596) == 16
-    with pytest.raises(ValueError):
-        reduced_forms(7)  # 3 (mod 4)
-    with pytest.raises(ValueError):
-        reduced_forms(16)  # square
 
 
 def test_narrow_class_number_rejects_non_fundamental():
@@ -80,41 +42,17 @@ def _valid_discriminants(limit):
             if D % 4 in (0, 1) and not isqrt(D)[1]]
 
 
-def test_every_enumerated_form_is_reduced_and_primitive():
-    for D in _valid_discriminants(800):
-        for f in reduced_forms(D):
-            assert f.is_reduced()
-            assert f.D == D
-
-
-def test_rho_permutes_reduced_forms_with_even_cycles():
-    # exhaustive up to 5000: rho is a bijection and every cycle length is even
-    for D in _valid_discriminants(5000):
-        forms = reduced_forms(D)
-        form_set = {f.coefficients() for f in forms}
-        image = {rho(f).coefficients() for f in forms}
-        assert image == form_set, D
-        seen = set()
-        for f in forms:
-            if f.coefficients() in seen:
-                continue
-            length = 0
-            g = f
-            while g.coefficients() not in seen:
-                seen.add(g.coefficients())
-                g = rho(g)
-                length += 1
-            assert g == f, D  # orbit closes where it started
-            assert length % 2 == 0, D
-
-
 def test_reduced_forms_match_trial_division_in_order():
     # every valid D <= 3000, non-fundamental ones included (p^2 | D, imprimitive
-    # candidates): same forms, same order
+    # candidates): same forms, same order, for every a <= sqrt(D) and for the
+    # seeds |a| <= sqrt(D/5) that the cycle count enumerates
     for D in _valid_discriminants(3000):
-        forms = reduced_forms(D)
-        assert [f.coefficients() for f in forms] == reference_reduced_forms(D), D
-        assert all(f.D == D for f in forms)
+        s = isqrt(D)[0]
+        reference = reference_reduced_forms(D)
+        for amax in (s, isqrt(D // 5)[0]):
+            triples = sorted(_reduced_triples(D, s, amax), key=lambda t: (t[1], t[0]))
+            forms = [f for a, b, c in triples for f in ((a, b, -c), (-a, b, c))]
+            assert forms == [f for f in reference if abs(f[0]) <= amax], (D, amax)
 
 
 @pytest.mark.parametrize("D", [
@@ -137,28 +75,15 @@ def test_narrow_class_number_matches_reference_for_every_small_fundamental_D():
         assert narrow_class_number(D) == reference_narrow_class_number(D), D
 
 
-def _rho_cycles(D):
-    """The cycles of the public rho on the public reduced_forms(D), each as
-    a list of coefficient triples: the full-enumeration cycle partition."""
-    forms = {f.coefficients(): f for f in reduced_forms(D)}
-    cycles = []
-    while forms:
-        f = forms.popitem()[1]
-        cycle = [f.coefficients()]
-        g = rho(f)
-        while g != f:
-            cycle.append(forms.pop(g.coefficients()).coefficients())
-            g = rho(g)
-        cycles.append(cycle)
-    return cycles
-
-
 def test_narrow_class_number_matches_full_enumeration_for_every_fundamental_D():
-    # the seeded count against every cycle of every reduced form, D <= 20000
+    # the seeded count against every cycle of every reduced form, D <= 20000;
+    # every cycle has even length, since reduced forms alternate in sign
     Ds = [D for D in range(5, 20001) if is_fundamental_discriminant(D)]
     assert len(Ds) == 6081
     for D in Ds:
-        assert narrow_class_number(D) == len(_rho_cycles(D)), D
+        cycles = reference_rho_cycles(D)
+        assert narrow_class_number(D) == len(cycles), D
+        assert all(len(cycle) % 2 == 0 for cycle in cycles), D
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -168,7 +93,7 @@ def test_every_cycle_holds_a_form_with_small_leading_coefficient(D):
     # represents some 0 < |v| <= sqrt(D/5) < sqrt(D)/2, and by Lagrange v is
     # then the leading coefficient of a reduced form in the same cycle
     A = isqrt(D // 5)[0]
-    for cycle in _rho_cycles(D):
+    for cycle in reference_rho_cycles(D):
         assert any(abs(a) <= A for a, _, _ in cycle), (D, cycle)
 
 
@@ -178,14 +103,6 @@ def test_class_number_matches_analytic_formula():
         h = analytic_class_number(m)
         assert abs(h - round(h)) < 1e-4, m
         assert class_number(m).h_wide == round(h), m
-
-
-def test_reduce_lands_in_a_cycle():
-    for D in (8, 12, 40, 60, 145, 316, 1596):
-        cycle_forms = {f.coefficients() for f in reduced_forms(D)}
-        k = D % 2
-        principal = IndefiniteForm(1, k, (k * k - D) // 4, D)
-        assert reduce_form(principal).coefficients() in cycle_forms
 
 
 def test_class_number_examples():
@@ -219,22 +136,6 @@ def test_class_number_factorizes_m_once(monkeypatch):
         assert calls == [m]
 
 
-def test_class_number_builds_no_indefinite_form(monkeypatch):
-    real = IndefiniteForm.__post_init__
-    built = []
-
-    def counting(self):
-        built.append(self)
-        real(self)
-    monkeypatch.setattr(IndefiniteForm, "__post_init__", counting)
-    for m in (399, 443, 4849845):
-        class_number(m)
-        assert built == [], m
-    # the counter sees the forms that reduced_forms does build
-    forms = reduced_forms(discriminant_of(399))
-    assert len(built) == len(forms) == 56
-
-
 def test_class_number_enumerates_only_the_small_seeds(monkeypatch):
     import pellkit.classgroup
     real = pellkit.classgroup._reduced_triples
@@ -249,9 +150,6 @@ def test_class_number_enumerates_only_the_small_seeds(monkeypatch):
         asked.clear()
         class_number(m)
         assert asked == [(D, isqrt(D // 5)[0])], m
-        asked.clear()
-        reduced_forms(D)
-        assert asked == [(D, isqrt(D)[0])], m
 
 
 def test_class_data_invariant():

@@ -145,6 +145,27 @@ def test_classno_core_annotation(capsys):
     ]
 
 
+def test_core_note_is_computed_for_human_output_only(capsys, monkeypatch):
+    import pellkit.cli
+    real = pellkit.cli.factorize
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+    monkeypatch.setattr(pellkit.cli, "factorize", counting)
+    for command in ("classno", "unit"):
+        for fmt in ("json", "csv", "markdown"):
+            rc, out, _ = run_cli(capsys, command, "7227", "--format", fmt)
+            assert rc == 0 and "803" in out, (command, fmt)
+    assert calls == []
+    for command, noun in (("classno", "h"), ("unit", "unit")):
+        rc, out, _ = run_cli(capsys, command, "7227")
+        assert rc == 0
+        assert out.splitlines()[0] == f"7227 = 3^2*803; {noun} computed for 803"
+    assert calls == [9, 9]
+
+
 def test_classno_factorizes_m_once(capsys, monkeypatch):
     import pellkit.intkit
     real = pellkit.intkit.factorize
