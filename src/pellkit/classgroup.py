@@ -10,20 +10,25 @@ CRT into the roots modulo 2a, and each root class meets the reduction
 window at most once.  An a with a rootless prime power is skipped before it
 is factored, so the work follows the number of roots, not D.
 
-The cycle count of discriminant D is the narrow class number h+; the wide
-class number follows from the norm of the fundamental unit (h = h+ when the
-norm is -1, h = h+/2 when it is +1).  The count enumerates only the seeds,
-the reduced forms with |a| <= sqrt(D/5).  Every form of discriminant D
-primitively represents some v with 0 < |v| <= sqrt(D/5) (Markov's theorem,
-A. Markoff, Math. Ann. 15 (1879), the bound due to Korkine and
-Zolotarev), and since |v| < sqrt(D)/2 Lagrange's lemma makes v the leading
-coefficient of a reduced form in the same cycle (Buchmann and Vollmer,
-Binary Quadratic Forms (2007), ch. 6).  So every cycle holds a seed, at
-about 0.45*sqrt(D) instead of sqrt(D) values of a.  Each popped seed's
-cycle is walked one rho step at a time on bare ints, and the seeds on it
-are struck.  All sqrt(D) comparisons are done on squares in integer
-arithmetic: a float at the reduction-window boundary can silently merge or
-split cycles.
+The rho-cycles of discriminant D are the narrow classes.  The mirror
+sigma: (L, b, C) -> (-L, b, -C) commutes with the rho step, so it maps
+cycles onto cycles, and its orbits are the wide classes (Buchmann and
+Vollmer, Binary Quadratic Forms (2007), ch. 6; Cohen, A Course in
+Computational Algebraic Number Theory (1993), 5.6).  With a unit of norm
+-1 every cycle is its own mirror; with norm +1 none is.  So each sigma-orbit
+is walked once, over half of its reduced forms, and h_wide is the number of
+walks: h = h+ when the norm is -1, h+ = 2h when it is +1.  The walks start
+only from the seeds, the positive reduced forms with a <= sqrt(D/5).  Every
+form of discriminant D primitively represents some v with
+0 < |v| <= sqrt(D/5) (Markov's theorem, A. Markoff, Math. Ann. 15 (1879),
+the bound due to Korkine and Zolotarev), and since |v| < sqrt(D)/2
+Lagrange's lemma makes v the leading coefficient of a reduced form in the
+same cycle (Buchmann and Vollmer, ch. 6).  So every cycle holds a seed or
+the mirror of one, at about 0.45*sqrt(D) instead of sqrt(D) values of a.
+Each walk steps rho on bare ints and strikes the seed of every form it
+passes and of its mirror.  All sqrt(D) comparisons are done on squares in
+integer arithmetic: a float at the reduction-window boundary can silently
+merge or split cycles.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ from .pell import _unit_norm
 
 # Largest isqrt(D) whose class number is computed.  The sieve and the root
 # table hold isqrt(D // 5) entries and the seed set grows with them: at the
-# limit (D near 4*10^12) a class number took 5.5 s and 182 MiB of peak
+# limit (D near 4*10^12) a class number took 3.3-3.8 s and 145 MiB of peak
 # memory on a 2-vCPU VM under CPython 3.11, and anything larger is refused
-# before either is allocated.
+# before either is allocated and before the unit norm's period is expanded.
 MAX_ROOT_D = 2_000_000
 
 
@@ -121,50 +126,13 @@ def is_fundamental_discriminant(D: int) -> bool:
     return q % 4 in (2, 3) and squarefree_core(q)[1]
 
 
-def _narrow_class_number(D: int) -> int:
-    # Every cycle holds a form (L, b, C) with |L| <= A = isqrt(D // 5): the
-    # seeds.  Walk each popped seed's cycle one rho step at a time and
-    # strike the seeds it passes; the pops are the cycles.  The successor of
-    # a reduced (L, b, C) is (C, b', *) with b' = -b (mod 2|C|) in the window
-    # (s - 2|C|, s], so only L and b are carried.  A seed (L, b) is the int
-    # key L*(s+1) + b, 0 < b <= s.
-    s = isqrt(D)[0]
-    if s > MAX_ROOT_D:
-        raise OverflowError(f"narrow_class_number: isqrt(D) = {s} for D = {D} "
-                            f"exceeds the enumeration limit {MAX_ROOT_D}")
-    A = isqrt(D // 5)[0]
-    k = s + 1
-    seeds = set()
-    for a, b, _ in _reduced_triples(D, s, A):
-        seeds.add(a * k + b)
-        seeds.add(b - a * k)
-    cycles = 0
-    while seeds:
-        start = seeds.pop()
-        L, b = divmod(start, k)
-        cycles += 1
-        while True:
-            L = (b * b - D) // (4 * L)
-            b = s - (s + b) % (2 * abs(L))
-            key = L * k + b
-            if key == start:
-                break
-            if -A <= L <= A:
-                try:
-                    seeds.remove(key)
-                except KeyError:
-                    raise ArithmeticError("narrow_class_number: rho left the "
-                                          "reduced forms") from None
-    return cycles
-
-
 def narrow_class_number(D: int) -> int:
     """Number of rho-cycles partitioning the reduced forms of the fundamental
     discriminant D (non-fundamental discriminants are a different object and
     are rejected)."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"narrow_class_number: {D} is not a fundamental discriminant")
-    return _narrow_class_number(D)
+    return _class_number(D if D % 4 == 1 else D // 4).h_narrow
 
 
 def _discriminant_of(m: int) -> int:
@@ -200,8 +168,9 @@ class ClassData:
 def class_number(m: int) -> ClassData:
     """Exact class data of Q(sqrt(m)) for square-free m >= 2.
 
-    h_narrow comes from cycle counting alone; h_wide divides it by two
-    exactly when the fundamental unit has norm +1.  m is factorized once,
+    h_wide is the number of sigma-orbits of the rho-cycles, one walk each;
+    h_narrow doubles it exactly when the fundamental unit has norm +1, since
+    then no cycle is its own mirror.  m is factorized once,
     here; _class_number and the helpers below trust it.
     """
     if m < 2 or not squarefree_core(m)[1]:
@@ -213,13 +182,42 @@ def class_number(m: int) -> ClassData:
 def _class_number(m: int) -> ClassData:
     # m is square-free and >= 2: callers that hold m from squarefree_core
     # come here directly instead of factorizing it again.
+    #
+    # A form (L, b), 0 < b <= s, is the int key L*k + b, k = s + 1.  The
+    # seeds are the keys of the positive forms with L <= A = isqrt(D // 5),
+    # and a walked form strikes the key of (|L|, b): its own or its
+    # mirror's.  The successor of a reduced (L, b, C) is (C, b', *) with
+    # b' = -b (mod 2|C|) in the window (s - 2|C|, s], so only L and b are
+    # carried.  With norm -1, sigma is rho to the half length and a walk
+    # stops at the mirror b - a*k of its seed (a, b); with norm +1 it comes
+    # back to the seed.  A norm that disagrees with the cycles walks onto
+    # the popped seed's key, which raises instead of looping.
     D = _discriminant_of(m)
-    h_plus = _narrow_class_number(D)
+    s = isqrt(D)[0]
+    if s > MAX_ROOT_D:
+        raise OverflowError(f"class_number: isqrt(D) = {s} for D = {D} "
+                            f"exceeds the enumeration limit {MAX_ROOT_D}")
     norm = _unit_norm(m)
-    if norm == 1:
-        if h_plus % 2:
-            raise ArithmeticError("class_number: odd narrow class number with a +1 unit")
-        h = h_plus // 2
-    else:
-        h = h_plus
-    return ClassData(m, D, h_plus, h, norm)
+    A = isqrt(D // 5)[0]
+    k = s + 1
+    seeds = {a * k + b for a, b, _ in _reduced_triples(D, s, A)}
+    walks = 0
+    while seeds:
+        start = seeds.pop()
+        L, b = divmod(start, k)
+        stop = b - L * k if norm == -1 else start
+        walks += 1
+        while True:
+            L = (b * b - D) // (4 * L)
+            b = s - (s + b) % (2 * abs(L))
+            key = L * k + b
+            if key == stop:
+                break
+            if -A <= L <= A:
+                try:
+                    seeds.remove(key if L > 0 else b - L * k)
+                except KeyError:
+                    raise ArithmeticError("class_number: the rho-cycles disagree "
+                                          "with the unit norm or leave the "
+                                          "reduced forms") from None
+    return ClassData(m, D, walks if norm == -1 else 2 * walks, walks, norm)

@@ -164,7 +164,8 @@ def verify_member(member: FamilyMember) -> VerificationReport:
     h_wide = None
     conclusion = None
     if member.m_is_squarefree:
-        h_wide = class_number(m).h_wide
+        # gen_members factorized m for the flag; do not factorize it again
+        h_wide = _class_number(m).h_wide
         conclusion = h_wide > 1
     return VerificationReport(member, cert_plus, cert_minus, upheld, h_wide, conclusion)
 

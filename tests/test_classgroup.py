@@ -1,10 +1,12 @@
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pellkit import (ClassData, class_number, discriminant_of,
                      is_fundamental_discriminant, isqrt, narrow_class_number,
-                     squarefree_core)
+                     squarefree_core, unit_norm)
 from pellkit.classgroup import _reduced_triples
 from oracle_utils import (analytic_class_number, reference_narrow_class_number,
                           reference_reduced_forms, reference_rho_cycles)
@@ -77,13 +79,45 @@ def test_narrow_class_number_matches_reference_for_every_small_fundamental_D():
 
 def test_narrow_class_number_matches_full_enumeration_for_every_fundamental_D():
     # the seeded count against every cycle of every reduced form, D <= 20000;
-    # every cycle has even length, since reduced forms alternate in sign
+    # every cycle has even length, since reduced forms alternate in sign.
+    # sigma: (a, b, c) -> (-a, b, -c) maps each cycle onto a cycle; every
+    # cycle is its own mirror exactly when the unit has norm -1, and h_wide
+    # is the number of sigma-orbits
     Ds = [D for D in range(5, 20001) if is_fundamental_discriminant(D)]
     assert len(Ds) == 6081
     for D in Ds:
         cycles = reference_rho_cycles(D)
         assert narrow_class_number(D) == len(cycles), D
         assert all(len(cycle) % 2 == 0 for cycle in cycles), D
+        cycles = [frozenset(cycle) for cycle in cycles]
+        mirrors = [frozenset((-a, b, -c) for a, b, c in cycle) for cycle in cycles]
+        assert set(mirrors) == set(cycles), D
+        m = D if D % 4 == 1 else D // 4
+        norm = unit_norm(m)
+        self_mirrored = [mirror == cycle for cycle, mirror in zip(cycles, mirrors)]
+        assert all(self_mirrored) if norm == -1 else not any(self_mirrored), D
+        orbits = {frozenset((cycle, mirror)) for cycle, mirror in zip(cycles, mirrors)}
+        assert class_number(m) == ClassData(m, D, len(cycles), len(orbits), norm), D
+
+
+@pytest.mark.parametrize("m, norm", [(2, -1), (10, -1), (399, 1), (443, 1)])
+def test_a_wrong_unit_norm_raises_instead_of_looping(m, norm, monkeypatch):
+    # with the sign flipped, the walk meets its own popped seed: at the
+    # mirror when the cycle is self-mirrored, back at the start otherwise
+    import pellkit.classgroup
+    assert unit_norm(m) == norm
+    monkeypatch.setattr(pellkit.classgroup, "_unit_norm", lambda _: -norm)
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"class_number({m}) is still walking")
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(ArithmeticError):
+            class_number(m)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -164,6 +198,6 @@ def test_narrow_wide_relation_small_sweep():
         if not squarefree_core(m)[1]:
             continue
         data = class_number(m)
-        assert data.h_narrow == narrow_class_number(discriminant_of(m))
+        assert data.h_narrow == reference_narrow_class_number(discriminant_of(m))
         factor = 2 if data.unit_norm == 1 else 1
         assert data.h_narrow == factor * data.h_wide

@@ -99,6 +99,24 @@ def test_verify_member_skips_class_fields_off_squarefree():
     assert report.h_wide is None and report.class_conclusion is None
 
 
+def test_verify_factorizes_each_member_once(monkeypatch):
+    # gen_members factorizes m for the square-free flag; verify_member's
+    # class number reuses that flag instead of factorizing m again
+    import pellkit.intkit
+    real = pellkit.intkit.factorize
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+    monkeypatch.setattr(pellkit.intkit, "factorize", counting)
+    members = gen_members("F3", 50, 10)
+    reports = [verify_member(member) for member in members]
+    assert len(members) == 140
+    assert sum(r.h_wide is not None for r in reports) == 109
+    assert calls == [member.m for member in members]
+
+
 def test_check_yamaguchi_hypothesis():
     assert check_yamaguchi_hypothesis(399)
     assert not check_yamaguchi_hypothesis(5)
