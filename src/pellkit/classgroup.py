@@ -18,13 +18,26 @@ Computational Algebraic Number Theory (1993), 5.6).  With a unit of norm
 -1 every cycle is its own mirror; with norm +1 none is.  So each sigma-orbit
 is walked once, over half of its reduced forms, and h_wide is the number of
 walks: h = h+ when the norm is -1, h+ = 2h when it is +1.  The walks start
-only from the seeds, the positive reduced forms with a <= sqrt(D/5).  Every
-form of discriminant D primitively represents some v with
-0 < |v| <= sqrt(D/5) (Markov's theorem, A. Markoff, Math. Ann. 15 (1879),
-the bound due to Korkine and Zolotarev), and since |v| < sqrt(D)/2
-Lagrange's lemma makes v the leading coefficient of a reduced form in the
-same cycle (Buchmann and Vollmer, ch. 6).  So every cycle holds a seed or
-the mirror of one, at about 0.45*sqrt(D) instead of sqrt(D) values of a.
+only from the seeds, the positive reduced forms with a <= _seed_bound(D).
+Let m(f) be the least |f(x, y)| of a form f of discriminant D over integer
+(x, y) != (0, 0); it is taken at a primitive (x, y).  By Markov's theorem
+(A. Markoff, Math. Ann. 15 (1879) and 17 (1880); Cusick and Flahive, The
+Markoff and Lagrange Spectra (1989), ch. 2), m(f) > sqrt(D)/3 only when f
+is equivalent to a multiple of the Markov form f_mu of a Markov number mu,
+of discriminant 9*mu^2 - 4.  The content g of f_mu divides mu and
+9*mu^2 - 4, hence 4, and g^2 divides 9*mu^2 - 4, which rules out g = 4
+(4 | mu leaves 9*mu^2 - 4 = 12 mod 16); so a primitive f forces
+D*g^2 = 9*mu^2 - 4 with g = 1 or 2.  Unless D + 4 or 4*D + 4 is nine times
+a square, every form of discriminant D therefore primitively represents
+some v with 0 < |v| <= sqrt(D)/3 < sqrt(D)/2, and Lagrange's lemma makes v
+the leading coefficient of a reduced form in the same cycle (Buchmann and
+Vollmer, ch. 6).  So every cycle holds a seed or the mirror of one, at
+about 0.33*sqrt(D) instead of sqrt(D) values of a.  The D where D + 4 or
+4*D + 4 is nine times a square keep the bound sqrt(D/5) of Korkine and
+Zolotarev, which holds for every form.  This does not ask whether mu is
+a Markov number, so a few D such as 77 and 140 keep it needlessly;
+D = 5, 8, 221, 1517, ... need it, since each has a cycle whose least |a|
+exceeds sqrt(D)/3.
 Each walk steps rho on bare ints and strikes the seed of every form it
 passes and of its mirror.  All sqrt(D) comparisons are done on squares in
 integer arithmetic: a float at the reduction-window boundary can silently
@@ -42,10 +55,11 @@ from .intkit import _sqrt_mod_prime, isqrt, squarefree_core
 from .pell import _unit_norm
 
 # Largest isqrt(D) whose class number is computed.  The sieve and the root
-# table hold isqrt(D // 5) entries and the seed set grows with them: at the
-# limit (D near 4*10^12) a class number took 3.3-3.8 s and 145 MiB of peak
-# memory on a 2-vCPU VM under CPython 3.11, and anything larger is refused
-# before either is allocated and before the unit norm's period is expanded.
+# table hold _seed_bound(D) entries, isqrt(D // 9) for all but a few D, and
+# the seed set grows with them: at the limit (D near 4*10^12) a class number
+# took 2.8-3.1 s and 132 MiB of peak memory on a 2-vCPU VM under CPython
+# 3.11, and anything larger is refused before either is allocated and before
+# the unit norm's period is expanded.
 MAX_ROOT_D = 2_000_000
 
 
@@ -113,6 +127,16 @@ def _reduced_triples(D: int, s: int, amax: int) -> Iterator[tuple[int, int, int]
                 c = (D - b * b) // (4 * a)
                 if gcd(a, b, c) == 1:
                     yield a, b, c
+
+
+def _seed_bound(D: int) -> int:
+    """Largest seed a of the cycle walk: isqrt(D // 5) when D + 4 or
+    4*D + 4 is nine times a square, so that D may be a Markov discriminant,
+    and isqrt(D // 9) otherwise (see the module docstring)."""
+    for n in (D + 4, 4 * D + 4):
+        if n % 9 == 0 and isqrt(n // 9)[1]:
+            return isqrt(D // 5)[0]
+    return isqrt(D // 9)[0]
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -184,7 +208,7 @@ def _class_number(m: int) -> ClassData:
     # come here directly instead of factorizing it again.
     #
     # A form (L, b), 0 < b <= s, is the int key L*k + b, k = s + 1.  The
-    # seeds are the keys of the positive forms with L <= A = isqrt(D // 5),
+    # seeds are the keys of the positive forms with L <= A = _seed_bound(D),
     # and a walked form strikes the key of (|L|, b): its own or its
     # mirror's.  The successor of a reduced (L, b, C) is (C, b', *) with
     # b' = -b (mod 2|C|) in the window (s - 2|C|, s], so only L and b are
@@ -198,7 +222,7 @@ def _class_number(m: int) -> ClassData:
         raise OverflowError(f"class_number: isqrt(D) = {s} for D = {D} "
                             f"exceeds the enumeration limit {MAX_ROOT_D}")
     norm = _unit_norm(m)
-    A = isqrt(D // 5)[0]
+    A = _seed_bound(D)
     k = s + 1
     seeds = {a * k + b for a, b, _ in _reduced_triples(D, s, A)}
     walks = 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pellkit import (ClassData, class_number, discriminant_of,
                      is_fundamental_discriminant, isqrt, narrow_class_number,
                      squarefree_core, unit_norm)
-from pellkit.classgroup import _reduced_triples
+from pellkit.classgroup import _reduced_triples, _seed_bound
 from oracle_utils import (analytic_class_number, reference_narrow_class_number,
                           reference_reduced_forms, reference_rho_cycles)
 
@@ -47,11 +47,12 @@ def _valid_discriminants(limit):
 def test_reduced_forms_match_trial_division_in_order():
     # every valid D <= 3000, non-fundamental ones included (p^2 | D, imprimitive
     # candidates): same forms, same order, for every a <= sqrt(D) and for the
-    # seeds |a| <= sqrt(D/5) that the cycle count enumerates
+    # seeds the cycle count enumerates, |a| <= sqrt(D)/3 for most D and
+    # |a| <= sqrt(D/5) for the D that _seed_bound flags
     for D in _valid_discriminants(3000):
         s = isqrt(D)[0]
         reference = reference_reduced_forms(D)
-        for amax in (s, isqrt(D // 5)[0]):
+        for amax in (s, isqrt(D // 5)[0], isqrt(D // 9)[0]):
             triples = sorted(_reduced_triples(D, s, amax), key=lambda t: (t[1], t[0]))
             forms = [f for a, b, c in triples for f in ((a, b, -c), (-a, b, c))]
             assert forms == [f for f in reference if abs(f[0]) <= amax], (D, amax)
@@ -123,12 +124,42 @@ def test_a_wrong_unit_norm_raises_instead_of_looping(m, norm, monkeypatch):
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(D=st.integers(5, 10**6).filter(is_fundamental_discriminant))
 def test_every_cycle_holds_a_form_with_small_leading_coefficient(D):
-    # Markov (Korkine-Zolotarev): every form of discriminant D primitively
-    # represents some 0 < |v| <= sqrt(D/5) < sqrt(D)/2, and by Lagrange v is
-    # then the leading coefficient of a reduced form in the same cycle
-    A = isqrt(D // 5)[0]
+    # Markov: a form of discriminant D that primitively represents no
+    # 0 < |v| <= sqrt(D)/3 is a multiple of a Markov form, so D + 4 or
+    # 4*D + 4 is nine times a square, and _seed_bound flags D; every form
+    # represents some 0 < |v| <= sqrt(D/5) (Korkine-Zolotarev).  As
+    # |v| < sqrt(D)/2, by Lagrange v is then the leading coefficient of a
+    # reduced form in the same cycle
+    A = _seed_bound(D)
+    assert A in (isqrt(D // 9)[0], isqrt(D // 5)[0]), D
     for cycle in reference_rho_cycles(D):
         assert any(abs(a) <= A for a, _, _ in cycle), (D, cycle)
+
+
+def test_only_markov_discriminants_need_the_wide_seed_bound():
+    # every fundamental D <= 20000 whose cycles do not all hold a form with
+    # |a| <= sqrt(D)/3 is a Markov discriminant 9*mu^2 - 4 or (9*mu^2 - 4)/4,
+    # and _seed_bound gives it the bound sqrt(D/5)
+    Ds = [D for D in range(5, 20001) if is_fundamental_discriminant(D)]
+    wide = [D for D in Ds
+            if any(min(abs(a) for a, _, _ in cycle) > isqrt(D // 9)[0]
+                   for cycle in reference_rho_cycles(D))]
+    assert wide == [5, 8, 221, 1517, 7565]
+    for D in wide:
+        assert _seed_bound(D) == isqrt(D // 5)[0] > isqrt(D // 9)[0], D
+
+
+@pytest.mark.parametrize("D", [71285, 84680, 257045, 488597, 837224])
+def test_markov_discriminants_keep_the_wide_seed_bound(D):
+    # D = 9*mu^2 - 4 for mu = 89, 169, 233 and (9*mu^2 - 4)/4 for
+    # mu = 194, 610: the cycle of the primitive Markov form and its mirror
+    # hold no form with |a| <= sqrt(D)/3, and the count still finds both
+    assert is_fundamental_discriminant(D)
+    cycles = reference_rho_cycles(D)
+    assert narrow_class_number(D) == len(cycles)
+    high = [cycle for cycle in cycles
+            if min(abs(a) for a, _, _ in cycle) > isqrt(D // 9)[0]]
+    assert len(high) == 2, D
 
 
 def test_class_number_matches_analytic_formula():
@@ -179,11 +210,12 @@ def test_class_number_enumerates_only_the_small_seeds(monkeypatch):
         asked.append((D, amax))
         return real(D, s, amax)
     monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", recording)
-    for m in (399, 443, 4849845):
+    # sqrt(D)/3, except at the Markov discriminants D = 8 and 221
+    for m, n in ((399, 9), (443, 9), (4849845, 9), (2, 5), (221, 5)):
         D = discriminant_of(m)
         asked.clear()
         class_number(m)
-        assert asked == [(D, isqrt(D // 5)[0])], m
+        assert asked == [(D, _seed_bound(D))] == [(D, isqrt(D // n)[0])], m
 
 
 def test_class_data_invariant():
