@@ -8,7 +8,10 @@ a smallest-prime-factor sieve, the roots modulo each prime power of 4a
 (Tonelli-Shanks, then Hensel lifting one digit at a time) are combined by
 CRT into the roots modulo 2a, and each root class meets the reduction
 window at most once.  An a with a rootless prime power is skipped before it
-is factored, so the work follows the number of roots, not D.
+is factored, so the work follows the number of roots, not D.  The sieve
+reads off which prime powers have roots from the Legendre symbol (D/p), and
+the roots of a prime are taken only when the first a that needs them is
+reached.
 
 The rho-cycles of discriminant D are the narrow classes.  The mirror
 sigma: (L, b, C) -> (-L, b, -C) commutes with the rho step, so it maps
@@ -39,28 +42,123 @@ a Markov number, so a few D such as 77 and 140 keep it needlessly;
 D = 5, 8, 221, 1517, ... need it, since each has a cycle whose least |a|
 exceeds sqrt(D)/3.
 Each walk steps rho on bare ints and strikes the seed of every form it
-passes and of its mirror.  All sqrt(D) comparisons are done on squares in
-integer arithmetic: a float at the reduction-window boundary can silently
-merge or split cycles.
+passes and of its mirror.
+
+The seeds are enumerated in order of a, and the enumeration stops as soon
+as every seed is struck, since every sigma-orbit has then been walked.
+That needs the exact number of seeds up front.  Let rho(a) be the number
+of root classes modulo 2a of x^2 = D (mod 4a).  For a <= s/2, s = isqrt(D),
+the window (s - 2a, s] is exactly 2a long, so each class meets it once;
+_seed_bound(D) <= s/2 for every D.  For a fundamental D every form is
+primitive, since a content g > 1 would make D/g^2 a discriminant, so the
+gcd filter never fires, and there are exactly S = sum_{a <= A} rho(a)
+seeds.  rho is multiplicative, and an odd prime p not dividing D has
+1 + (D/p) classes modulo every power of p, so S takes no root except those
+of 2 and of the primes dividing D.  The walks count the seeds off S; the
+enumeration ends at the largest least seed a* of a sigma-orbit, and a*/A
+is about 0.46 in the median over the audit's class numbers.  A seed struck
+twice or seeds still owed once the enumeration runs out raise
+ArithmeticError instead of giving a wrong count.
+
+All sqrt(D) comparisons are done on squares in integer arithmetic: a float
+at the reduction-window boundary can silently merge or split cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import lru_cache
+from itertools import chain, compress
 from math import gcd
+from operator import not_
 from typing import Iterator
 
 from .intkit import _sqrt_mod_prime, isqrt, squarefree_core
 from .pell import _unit_norm
 
-# Largest isqrt(D) whose class number is computed.  The sieve and the root
-# table hold _seed_bound(D) entries, isqrt(D // 9) for all but a few D, and
-# the seed set grows with them: at the limit (D near 4*10^12) a class number
-# took 2.8-3.1 s and 132 MiB of peak memory on a 2-vCPU VM under CPython
-# 3.11, and anything larger is refused before either is allocated and before
-# the unit norm's period is expanded.
+# Largest isqrt(D) whose class number is computed.  The sieve holds
+# _seed_bound(D) entries, isqrt(D // 9) for all but a few D, and the struck
+# seeds grow with it: at the limit (D near 4*10^12) a class number took
+# 1.0-1.5 s and 104 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
+# and anything larger is refused before either is allocated and before the
+# unit norm's period is expanded.
 MAX_ROOT_D = 2_000_000
+
+
+# Translations of the rank bytes of _residue_sieve: twice the root classes,
+# no roots (255, which both keep), and "has roots".
+_DOUBLE = bytes(range(1, 255)) + b"\xff\xff"
+_ROOTLESS = b"\xff" * 256
+_HAS_ROOTS = b"\x01" * 255 + b"\x00"
+
+
+def _prime_power_roots(D: int, p: int, amax: int) -> dict[int, list[int]]:
+    """For the prime p, the classes modulo w*q of the roots of
+    x^2 = D (mod w*w*q) for q = p^e <= amax, w = 2 and e >= 0 when p = 2,
+    w = 1 and e >= 1 when p is odd.  Each level is Hensel-lifted from the
+    one below by one p-adic digit (Tonelli-Shanks gives the first); the
+    levels stop at the first without roots."""
+    if p == 2:
+        w, q, found = 2, 1, [D & 1]
+    elif D % p == 0:
+        w, q, found = 1, p, [0]
+    else:
+        r = _sqrt_mod_prime(D % p, p)
+        w, q, found = 1, p, [] if r is None else [r, p - r]
+    levels = {q: found}
+    while found and q * p <= amax:
+        step, q = w * q, q * p
+        found = [x for r in found for x in range(r, w * q, step)
+                 if (x * x - D) % (w * w * q) == 0]
+        levels[q] = found
+    return levels
+
+
+@lru_cache(maxsize=1)
+def _residue_sieve(D: int, amax: int) -> tuple[tuple[int, ...], bytes,
+                                               tuple[tuple[int, list[int]], ...]]:
+    """(spf, rank, roots) for 0 <= a <= amax.  spf[a] is the least prime
+    factor of a composite a and 0 otherwise.  rank[a] is 255 when
+    x^2 = D (mod 4a) has no root; otherwise it counts, over the primes p of
+    a, the levels of _prime_power_roots up to a's power of p at which the
+    number of root classes rises.  roots holds the (q, classes) levels for
+    2 and for each prime dividing D.  An odd p not dividing D has 1 + (D/p)
+    classes at every level, so its roots are left to _reduced_triples.
+    _seed_count and _reduced_triples both read this, hence the cache of
+    one, and hence the immutable result."""
+    spf = [0] * (amax + 1)
+    for p in range(isqrt(amax)[0], 1, -1):  # the least prime factor writes last
+        spf[p * p::p] = [p] * len(range(p * p, amax + 1, p))
+    rank = bytearray(amax + 1)
+    rank[0] = 255  # 0 is no seed
+    roots = {}
+    odd = range(3, amax + 1, 2)
+    for p in chain((2,), compress(odd, map(not_, spf[3::2]))):
+        if p == 2 or D % p == 0:
+            levels = _prime_power_roots(D, p, amax)
+            roots.update(levels)
+            below = 1
+            for q, found in levels.items():
+                if not found:
+                    rank[q::q] = rank[q::q].translate(_ROOTLESS)
+                elif len(found) > below:
+                    rank[q::q] = rank[q::q].translate(_DOUBLE)
+                below = len(found)
+        elif pow(D, (p - 1) // 2, p) == 1:
+            rank[p::p] = rank[p::p].translate(_DOUBLE)
+        else:
+            rank[p::p] = rank[p::p].translate(_ROOTLESS)
+    return tuple(spf), bytes(rank), tuple(roots.items())
+
+
+def _seed_count(D: int, amax: int) -> int:
+    """Sum over 0 < a <= amax of the number rho(a) of root classes of
+    x^2 = D (mod 4a) modulo 2a, for a fundamental D.  Every level then has
+    0, 1 or 2 classes, so rho(a) = 2^rank[a] in _residue_sieve.  When
+    2*amax <= isqrt(D) this is the number of triples that
+    _reduced_triples(D, isqrt(D), amax) yields (see the module docstring)."""
+    rank = _residue_sieve(D, amax)[1]
+    return sum(rank.count(e) << e for e in range(amax.bit_length() + 1))
 
 
 def _reduced_triples(D: int, s: int, amax: int) -> Iterator[tuple[int, int, int]]:
@@ -72,51 +170,23 @@ def _reduced_triples(D: int, s: int, amax: int) -> Iterator[tuple[int, int, int]
     classes modulo 2a: the CRT product of the classes for the 2-part of a
     and the roots modulo each odd prime power of a.  The window
     max(1, s+1-2a, 2a-s) <= b <= s is at most 2a long, so each class gives at
-    most one b.  An a with a rootless prime power is never visited.  The
-    sieve and the root table stop at amax.
+    most one b.  An a with a rootless prime power is never visited, and the
+    roots of an odd prime not dividing D are taken when an a first needs
+    them, so a caller that stops early never pays for the rest.
     """
-    spf = list(range(amax + 1))  # smallest prime factor
-    for p in range(2, isqrt(amax)[0] + 1):
-        if spf[p] == p:
-            for j in range(p * p, amax + 1, p):
-                if spf[j] == j:
-                    spf[j] = p
-
-    # roots[q] for q = 1 and each prime power q = p^k <= amax: the classes
-    # modulo w*q of the roots of x^2 = D (mod w*w*q), w = 2 when p = 2 and
-    # w = 1 when p is odd.  Each level is Hensel-lifted from the one below by
-    # one p-adic digit.  good[a] = 0 once a prime power of a has no roots.
-    roots = {1: [D & 1]}
-    good = bytearray(b"\x01") * (amax + 1)
-    good[0] = 0
-    for p in range(2, amax + 1):
-        if spf[p] != p:
-            continue
-        if p == 2:
-            w, q, found = 2, 1, roots[1]
-        elif D % p == 0:
-            w, q, found = 1, p, [0]
-        else:
-            r = _sqrt_mod_prime(D % p, p)
-            w, q, found = 1, p, [] if r is None else [r, p - r]
-        roots[q] = found
-        while found and q * p <= amax:
-            step, q = w * q, q * p
-            found = [x for r in found for x in range(r, w * q, step)
-                     if (x * x - D) % (w * w * q) == 0]
-            roots[q] = found
-        if not found:
-            good[q::q] = bytes(len(range(q, amax + 1, q)))
-
-    for a in compress(range(amax + 1), good):
+    spf, rank, known = _residue_sieve(D, amax)
+    roots = dict(known)
+    for a in compress(range(amax + 1), rank.translate(_HAS_ROOTS)):
         q = a & -a
         n, classes, mod = a // q, roots[q], 2 * q
         while n > 1:
-            p = q = spf[n]
+            p = q = spf[n] or n
             n //= p
             while n % p == 0:
                 n //= p
                 q *= p
+            if q not in roots:
+                roots.update(_prime_power_roots(D, p, amax))
             inv = pow(mod, -1, q)
             classes = [x + mod * ((y - x) * inv % q) for x in classes for y in roots[q]]
             mod *= q
@@ -209,13 +279,17 @@ def _class_number(m: int) -> ClassData:
     #
     # A form (L, b), 0 < b <= s, is the int key L*k + b, k = s + 1.  The
     # seeds are the keys of the positive forms with L <= A = _seed_bound(D),
-    # and a walked form strikes the key of (|L|, b): its own or its
-    # mirror's.  The successor of a reduced (L, b, C) is (C, b', *) with
-    # b' = -b (mod 2|C|) in the window (s - 2|C|, s], so only L and b are
-    # carried.  With norm -1, sigma is rho to the half length and a walk
-    # stops at the mirror b - a*k of its seed (a, b); with norm +1 it comes
-    # back to the seed.  A norm that disagrees with the cycles walks onto
-    # the popped seed's key, which raises instead of looping.
+    # taken in order of L, and a walked form strikes the key of (|L|, b):
+    # its own or its mirror's.  The successor of a reduced (L, b, C) is
+    # (C, b', *) with b' = -b (mod 2|C|) in the window (s - 2|C|, s], so
+    # only L and b are carried.  With norm -1, sigma is rho to the half
+    # length and a walk stops at the mirror b - a*k of its seed (a, b); with
+    # norm +1 it comes back to the seed.  Each strike counts one seed off
+    # _seed_count(D, A), and the enumeration stops when none is left.  A
+    # norm that disagrees with the cycles walks onto the struck key of its
+    # own seed, and seeds still owed when the enumeration runs out mean a
+    # wrong count or a walk off the seeds; both raise instead of looping or
+    # miscounting.
     D = _discriminant_of(m)
     s = isqrt(D)[0]
     if s > MAX_ROOT_D:
@@ -224,12 +298,16 @@ def _class_number(m: int) -> ClassData:
     norm = _unit_norm(m)
     A = _seed_bound(D)
     k = s + 1
-    seeds = {a * k + b for a, b, _ in _reduced_triples(D, s, A)}
+    seeds = _seed_count(D, A)
+    struck = set()
     walks = 0
-    while seeds:
-        start = seeds.pop()
-        L, b = divmod(start, k)
-        stop = b - L * k if norm == -1 else start
+    for a, b, _ in _reduced_triples(D, s, A):
+        start = a * k + b
+        if start in struck:
+            continue
+        struck.add(start)
+        L = a
+        stop = b - a * k if norm == -1 else start
         walks += 1
         while True:
             L = (b * b - D) // (4 * L)
@@ -238,10 +316,14 @@ def _class_number(m: int) -> ClassData:
             if key == stop:
                 break
             if -A <= L <= A:
-                try:
-                    seeds.remove(key if L > 0 else b - L * k)
-                except KeyError:
+                key = key if L > 0 else b - L * k
+                if key in struck:
                     raise ArithmeticError("class_number: the rho-cycles disagree "
-                                          "with the unit norm or leave the "
-                                          "reduced forms") from None
+                                          "with the unit norm")
+                struck.add(key)
+        if len(struck) == seeds:
+            break
+    else:
+        raise ArithmeticError(f"class_number: the walks struck {len(struck)} "
+                              f"keys, not the {seeds} seeds counted")
     return ClassData(m, D, walks if norm == -1 else 2 * walks, walks, norm)

@@ -3,6 +3,7 @@ is used to check."""
 
 import math
 from dataclasses import dataclass
+from itertools import cycle
 from math import gcd, isqrt
 
 from pellkit import (Factorization, FactorizationIncompleteError, PellCertificate,
@@ -82,24 +83,30 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+# Gaps between the numbers prime to 30, from 7 on: 7, 11, 13, ..., 29, 31, 37
+_WHEEL_30 = (4, 2, 4, 2, 4, 6, 2, 6)
+
+
 def reference_factorize(n: int, trial_bound: int = 10_000_000) -> Factorization:
     """Exact factorization by trial division up to `trial_bound`, with the
     cofactor certified prime by is_prime.  Raises
     FactorizationIncompleteError instead of guessing.  For n < 10^14 the
     default bound is never reached, so this is trial division to sqrt(n).
+    After 2, 3 and 5 the trial divisors are the numbers prime to 30.
     """
     if n < 1:
         raise ValueError("factorize: n must be >= 1")
     bound = trial_bound
     value = n
     factors = []
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    if e:
-        factors.append((2, e))
-    d = 3
+    for p in (2, 3, 5):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+    d, gaps = 7, cycle(_WHEEL_30)
     while d * d <= n and d <= bound:
         if n % d == 0:
             e = 0
@@ -107,7 +114,7 @@ def reference_factorize(n: int, trial_bound: int = 10_000_000) -> Factorization:
                 n //= d
                 e += 1
             factors.append((d, e))
-        d += 2
+        d += next(gaps)
     if n > 1:
         if d * d > n:
             factors.append((n, 1))  # no factor <= sqrt(n): prime

@@ -1,4 +1,6 @@
+import hashlib
 import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from pellkit import (ClassData, class_number, discriminant_of,
                      is_fundamental_discriminant, isqrt, narrow_class_number,
                      squarefree_core, unit_norm)
-from pellkit.classgroup import _reduced_triples, _seed_bound
+from pellkit.classgroup import _reduced_triples, _seed_bound, _seed_count
 from oracle_utils import (analytic_class_number, reference_narrow_class_number,
                           reference_reduced_forms, reference_rho_cycles)
 
@@ -58,14 +60,17 @@ def test_reduced_forms_match_trial_division_in_order():
             assert forms == [f for f in reference if abs(f[0]) <= amax], (D, amax)
 
 
-@pytest.mark.parametrize("D", [
+LARGE_FUNDAMENTAL_DS = [
     1000001,   # 1 (mod 4)
     2042040,   # 8m, m = 3*5*7*11*13*17
     4849845,   # 1 (mod 4), 3*5*7*11*13*17*19
     38798760,  # 8m near 4e7, seven small odd primes
     39999964,  # 4m near 4e7, m = 3 (mod 4)
     40000001,  # 1 (mod 4) near 4e7
-])
+]
+
+
+@pytest.mark.parametrize("D", LARGE_FUNDAMENTAL_DS)
 def test_narrow_class_number_matches_reference_cycle_count(D):
     assert is_fundamental_discriminant(D)
     assert narrow_class_number(D) == reference_narrow_class_number(D)
@@ -101,6 +106,20 @@ def test_narrow_class_number_matches_full_enumeration_for_every_fundamental_D():
         assert class_number(m) == ClassData(m, D, len(cycles), len(orbits), norm), D
 
 
+@contextmanager
+def _arithmetic_error_within_5_s(m):
+    def timeout(signum, frame):
+        raise TimeoutError(f"class_number({m}) is still walking")
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(ArithmeticError):
+            yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("m, norm", [(2, -1), (10, -1), (399, 1), (443, 1)])
 def test_a_wrong_unit_norm_raises_instead_of_looping(m, norm, monkeypatch):
     # with the sign flipped, the walk meets its own popped seed: at the
@@ -108,17 +127,69 @@ def test_a_wrong_unit_norm_raises_instead_of_looping(m, norm, monkeypatch):
     import pellkit.classgroup
     assert unit_norm(m) == norm
     monkeypatch.setattr(pellkit.classgroup, "_unit_norm", lambda _: -norm)
+    with _arithmetic_error_within_5_s(m):
+        class_number(m)
 
-    def timeout(signum, frame):
-        raise TimeoutError(f"class_number({m}) is still walking")
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.setitimer(signal.ITIMER_REAL, 5)
-    try:
-        with pytest.raises(ArithmeticError):
-            class_number(m)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+
+def _assert_seed_count(D):
+    s, A = isqrt(D)[0], _seed_bound(D)
+    assert 2 * A <= s, D
+    assert _seed_count(D, A) == len(list(_reduced_triples(D, s, A))), D
+
+
+def test_seed_count_is_the_number_of_seeds_for_every_fundamental_D():
+    # for a <= s/2 every root class modulo 2a meets the window once, and for
+    # a fundamental D every form is primitive
+    Ds = [D for D in range(5, 20001) if is_fundamental_discriminant(D)]
+    assert len(Ds) == 6081
+    for D in Ds:
+        _assert_seed_count(D)
+
+
+@pytest.mark.parametrize("D", LARGE_FUNDAMENTAL_DS)
+def test_seed_count_is_the_number_of_seeds_for_large_D(D):
+    _assert_seed_count(D)
+
+
+@pytest.mark.parametrize("m", [2, 10, 399, 443])
+def test_a_seed_count_one_too_high_raises(m, monkeypatch):
+    # every seed is struck and the enumeration runs out with one left over
+    import pellkit.classgroup
+    real = pellkit.classgroup._seed_count
+    monkeypatch.setattr(pellkit.classgroup, "_seed_count",
+                        lambda D, amax: real(D, amax) + 1)
+    with _arithmetic_error_within_5_s(m):
+        class_number(m)
+
+
+@pytest.mark.parametrize("m, A, last", [(999983, 666, 23), (4849845, 734, 355)])
+def test_the_seed_enumeration_stops_at_the_last_new_orbit(m, A, last, monkeypatch):
+    # every sigma-orbit is walked from its least seed, so the enumeration
+    # ends at the largest of those, whatever the order of b within an a
+    import pellkit.classgroup
+    real = pellkit.classgroup._reduced_triples
+    reached = []
+
+    def recording(D, s, amax):
+        for triple in real(D, s, amax):
+            reached.append(triple[0])
+            yield triple
+    monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", recording)
+    assert _seed_bound(discriminant_of(m)) == A
+    class_number(m)
+    assert reached[-1] == last
+
+
+def test_class_data_matches_the_digest_of_every_m_below_30000():
+    # D up to 120000, beyond the full enumerations above; the digest was
+    # taken from the walk over every seed with a <= _seed_bound(D)
+    digest = hashlib.sha256()
+    for m in range(2, 30000):
+        if squarefree_core(m)[1]:
+            c = class_number(m)
+            digest.update(f"{m} {c.h_narrow} {c.h_wide} {c.unit_norm}\n".encode())
+    assert digest.hexdigest() == (
+        "066414f710445790af00efabdd1cf8f018756945b3cb1a4ea165cb8dc08af240")
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
