@@ -20,8 +20,10 @@ Vollmer, Binary Quadratic Forms (2007), ch. 6; Cohen, A Course in
 Computational Algebraic Number Theory (1993), 5.6).  With a unit of norm
 -1 every cycle is its own mirror; with norm +1 none is.  So each sigma-orbit
 is walked once, over half of its reduced forms, and h_wide is the number of
-walks: h = h+ when the norm is -1, h+ = 2h when it is +1.  The walks start
-only from the seeds, the positive reduced forms with a <= _seed_bound(D).
+walks: h = h+ when the norm is -1, h+ = 2h when it is +1.  The walks also
+tell which case holds (see below), so the period of sqrt(m) is never
+expanded here.  The walks start only from the seeds, the positive reduced
+forms with a <= _seed_bound(D).
 Let m(f) be the least |f(x, y)| of a form f of discriminant D over integer
 (x, y) != (0, 0); it is taken at a primitive (x, y).  By Markov's theorem
 (A. Markoff, Math. Ann. 15 (1879) and 17 (1880); Cusick and Flahive, The
@@ -41,8 +43,20 @@ Zolotarev, which holds for every form.  This does not ask whether mu is
 a Markov number, so a few D such as 77 and 140 keep it needlessly;
 D = 5, 8, 221, 1517, ... need it, since each has a cycle whose least |a|
 exceeds sqrt(D)/3.
-Each walk steps rho on bare ints and strikes the seed of every form it
-passes and of its mirror.
+
+A walk is the reduced phase of the PQa recurrence of cfrac._pqa_period.
+The reduced form (L, b, C) is the surd (b + sqrt(D))/q with q = 2|L|, and
+rho takes it to the form (C, b', *) of the next surd: the state
+(b, q, q') = (b, 2|L|, 2|C|) steps by t = (s + b) // q', b' = t*q' - b and
+(q, q') = (q', q + t*(b - b')), with no division by q and no sign, since
+b^2 + q*q' = D is kept.  A form and its mirror have the same state, so the
+unsigned key q*k + b, k = s + 1, names both; a walk strikes the key of
+every form with q <= 2*_seed_bound(D) that it passes, and it stops at the
+first return of its seed's key.  The sign of L alternates on every step:
+after an even number of steps the walk is back at its seed and the cycle
+is not its own mirror, so the unit norm is +1; after an odd number it has
+reached the seed's mirror, half way round a cycle that is its own mirror,
+and the norm is -1.
 
 The seeds are enumerated in order of a, and the enumeration stops as soon
 as every seed is struck, since every sigma-orbit has then been walked.
@@ -56,9 +70,9 @@ seeds.  rho is multiplicative, and an odd prime p not dividing D has
 1 + (D/p) classes modulo every power of p, so S takes no root except those
 of 2 and of the primes dividing D.  The walks count the seeds off S; the
 enumeration ends at the largest least seed a* of a sigma-orbit, and a*/A
-is about 0.46 in the median over the audit's class numbers.  A seed struck
-twice or seeds still owed once the enumeration runs out raise
-ArithmeticError instead of giving a wrong count.
+is about 0.46 in the median over the audit's class numbers.  A key struck
+twice, walks that disagree on the unit norm, or seeds still owed once the
+enumeration runs out raise ArithmeticError instead of giving a wrong count.
 
 All sqrt(D) comparisons are done on squares in integer arithmetic: a float
 at the reduction-window boundary can silently merge or split cycles.
@@ -68,20 +82,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, count
 from math import gcd
 from operator import not_
 from typing import Iterator
 
-from .intkit import _sqrt_mod_prime, isqrt, squarefree_core
-from .pell import _unit_norm
+from .intkit import _sqrt_mod_residue, isqrt, squarefree_core
 
 # Largest isqrt(D) whose class number is computed.  The sieve holds
 # _seed_bound(D) entries, isqrt(D // 9) for all but a few D, and the struck
 # seeds grow with it: at the limit (D near 4*10^12) a class number took
-# 1.0-1.5 s and 104 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
-# and anything larger is refused before either is allocated and before the
-# unit norm's period is expanded.
+# 1.0-1.1 s and 104 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
+# and anything larger is refused before either is allocated.
 MAX_ROOT_D = 2_000_000
 
 
@@ -96,15 +108,19 @@ def _prime_power_roots(D: int, p: int, amax: int) -> dict[int, list[int]]:
     """For the prime p, the classes modulo w*q of the roots of
     x^2 = D (mod w*w*q) for q = p^e <= amax, w = 2 and e >= 0 when p = 2,
     w = 1 and e >= 1 when p is odd.  Each level is Hensel-lifted from the
-    one below by one p-adic digit (Tonelli-Shanks gives the first); the
-    levels stop at the first without roots."""
+    one below by one p-adic digit; the levels stop at the first without
+    roots.  An odd p not dividing D must have (D/p) = 1, as _residue_sieve
+    has decided: Tonelli-Shanks then gives the first level without testing
+    Euler's criterion again, and a non-root raises ArithmeticError."""
     if p == 2:
         w, q, found = 2, 1, [D & 1]
     elif D % p == 0:
         w, q, found = 1, p, [0]
     else:
-        r = _sqrt_mod_prime(D % p, p)
-        w, q, found = 1, p, [] if r is None else [r, p - r]
+        r = _sqrt_mod_residue(D % p, p)
+        if r * r % p != D % p:
+            raise ArithmeticError(f"class_number: {D} is not a square modulo {p}")
+        w, q, found = 1, p, [r, p - r]
     levels = {q: found}
     while found and q * p <= amax:
         step, q = w * q, q * p
@@ -264,8 +280,10 @@ def class_number(m: int) -> ClassData:
 
     h_wide is the number of sigma-orbits of the rho-cycles, one walk each;
     h_narrow doubles it exactly when the fundamental unit has norm +1, since
-    then no cycle is its own mirror.  m is factorized once,
-    here; _class_number and the helpers below trust it.
+    then no cycle is its own mirror.  That norm is read off the walks: a
+    walk that ends at the mirror of its seed took an odd number of steps.
+    m is factorized once, here; _class_number and the helpers below trust
+    it.
     """
     if m < 2 or not squarefree_core(m)[1]:
         raise ValueError("class_number: m must be square-free and >= 2 "
@@ -277,50 +295,54 @@ def _class_number(m: int) -> ClassData:
     # m is square-free and >= 2: callers that hold m from squarefree_core
     # come here directly instead of factorizing it again.
     #
-    # A form (L, b), 0 < b <= s, is the int key L*k + b, k = s + 1.  The
-    # seeds are the keys of the positive forms with L <= A = _seed_bound(D),
-    # taken in order of L, and a walked form strikes the key of (|L|, b):
-    # its own or its mirror's.  The successor of a reduced (L, b, C) is
-    # (C, b', *) with b' = -b (mod 2|C|) in the window (s - 2|C|, s], so
-    # only L and b are carried.  With norm -1, sigma is rho to the half
-    # length and a walk stops at the mirror b - a*k of its seed (a, b); with
-    # norm +1 it comes back to the seed.  Each strike counts one seed off
-    # _seed_count(D, A), and the enumeration stops when none is left.  A
-    # norm that disagrees with the cycles walks onto the struck key of its
-    # own seed, and seeds still owed when the enumeration runs out mean a
-    # wrong count or a walk off the seeds; both raise instead of looping or
-    # miscounting.
+    # A reduced form (L, b, C) is the PQa state (b, q, q_next) =
+    # (b, 2|L|, 2|C|), and its unsigned key is q*k + b, k = s + 1, which
+    # its mirror shares.  The seeds are the positive forms with
+    # L <= A = _seed_bound(D), taken in order of L.  A walk starts at a seed
+    # whose key is not struck, strikes the key of every form with q <= 2A
+    # that it passes, and stops at the first return of its seed's key: after
+    # an odd number n of steps at the mirror (norm -1), after an even n at
+    # the seed itself (norm +1).  Each strike counts one seed off
+    # _seed_count(D, A), and the enumeration stops when none is left.  A key
+    # struck twice (as by a walk that never meets its seed's key again and
+    # goes round its cycle a second time), walks whose n differ in parity,
+    # and seeds still owed when the enumeration runs out mean a wrong seed,
+    # count or walk; each raises instead of looping or miscounting.
     D = _discriminant_of(m)
     s = isqrt(D)[0]
     if s > MAX_ROOT_D:
         raise OverflowError(f"class_number: isqrt(D) = {s} for D = {D} "
                             f"exceeds the enumeration limit {MAX_ROOT_D}")
-    norm = _unit_norm(m)
     A = _seed_bound(D)
-    k = s + 1
+    k, top = s + 1, 2 * A
     seeds = _seed_count(D, A)
     struck = set()
-    walks = 0
-    for a, b, _ in _reduced_triples(D, s, A):
-        start = a * k + b
+    norm = walks = 0
+    for a, b, c in _reduced_triples(D, s, A):
+        start = 2 * a * k + b
         if start in struck:
             continue
         struck.add(start)
-        L = a
-        stop = b - a * k if norm == -1 else start
-        walks += 1
-        while True:
-            L = (b * b - D) // (4 * L)
-            b = s - (s + b) % (2 * abs(L))
-            key = L * k + b
-            if key == stop:
-                break
-            if -A <= L <= A:
-                key = key if L > 0 else b - L * k
+        q, q_next = 2 * a, 2 * c
+        for n in count(1):
+            t = (s + b) // q_next
+            b, b_prev = t * q_next - b, b
+            q, q_next = q_next, q + t * (b_prev - b)
+            if q <= top:
+                key = q * k + b
+                if key == start:
+                    break
                 if key in struck:
-                    raise ArithmeticError("class_number: the rho-cycles disagree "
-                                          "with the unit norm")
+                    raise ArithmeticError("class_number: a walk struck a key "
+                                          "twice")
                 struck.add(key)
+        walk_norm = -1 if n & 1 else 1
+        if walk_norm != norm:
+            if norm:
+                raise ArithmeticError("class_number: the walks disagree on "
+                                      "the unit norm")
+            norm = walk_norm
+        walks += 1
         if len(struck) == seeds:
             break
     else:

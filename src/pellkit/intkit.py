@@ -226,6 +226,14 @@ def _sqrt_mod_prime(n: int, p: int) -> int | None:
     Tonelli-Shanks; None when n is a non-residue."""
     if pow(n, (p - 1) // 2, p) != 1:
         return None
+    return _sqrt_mod_residue(n, p)
+
+
+def _sqrt_mod_residue(n: int, p: int) -> int:
+    """Tonelli-Shanks for an odd prime p not dividing n, without Euler's
+    criterion: a root of x^2 = n (mod p) when n is a quadratic residue, and
+    a non-root otherwise, for callers that have decided the criterion
+    already and check r*r % p == n % p instead."""
     if p % 4 == 3:
         return pow(n, (p + 1) // 4, p)
     q, e = p - 1, 0
@@ -236,11 +244,13 @@ def _sqrt_mod_prime(n: int, p: int) -> int | None:
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
     c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
+    while t != 1:  # r*r = n*t (mod p) throughout
         i, t2 = 0, t
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+        if i == e:  # t has order 2^e, so n is a non-residue
+            break
         b = pow(c, 1 << (e - i - 1), p)
         e, c = i, b * b % p
         t, r = t * c % p, r * b % p

@@ -188,10 +188,6 @@ def unit_norm(m: int) -> int:
     if m < 2 or not squarefree_core(m)[1]:
         raise ValueError("unit_norm: m must be square-free and >= 2 "
                          "(pass the square-free core)")
-    return _unit_norm(m)
-
-
-def _unit_norm(m: int) -> int:
     return -1 if cf_sqrt(m).period_length % 2 else 1
 
 

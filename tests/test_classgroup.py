@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from pellkit import (ClassData, class_number, discriminant_of,
                      is_fundamental_discriminant, isqrt, narrow_class_number,
                      squarefree_core, unit_norm)
-from pellkit.classgroup import _reduced_triples, _seed_bound, _seed_count
+from pellkit.classgroup import (_class_number, _prime_power_roots, _reduced_triples,
+                                _seed_bound, _seed_count)
 from oracle_utils import (analytic_class_number, reference_narrow_class_number,
                           reference_reduced_forms, reference_rho_cycles)
 
@@ -107,28 +108,60 @@ def test_narrow_class_number_matches_full_enumeration_for_every_fundamental_D():
 
 
 @contextmanager
-def _arithmetic_error_within_5_s(m):
+def _arithmetic_error_within_5_s(m, match=None):
     def timeout(signum, frame):
         raise TimeoutError(f"class_number({m}) is still walking")
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.setitimer(signal.ITIMER_REAL, 5)
     try:
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match=match):
             yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("m, norm", [(2, -1), (10, -1), (399, 1), (443, 1)])
-def test_a_wrong_unit_norm_raises_instead_of_looping(m, norm, monkeypatch):
-    # with the sign flipped, the walk meets its own popped seed: at the
-    # mirror when the cycle is self-mirrored, back at the start otherwise
+@pytest.mark.parametrize("m, seed, match", [
+    # b^2 + 4ac = D, but b lies below the reduction window: the walk never
+    # meets the seed's key again and goes round its cycle a second time
+    pytest.param(10, (1, 2, 9), "struck a key twice", id="10-below-window"),
+    pytest.param(399, (1, 2, 398), "struck a key twice", id="399-below-window"),
+    # reduced for D' = b^2 + 4ac != D with isqrt(D') = isqrt(D): the walk
+    # goes round a cycle of D' in an odd number of steps where D takes an
+    # even number, or the reverse
+    pytest.param(10, (1, 5, 5), "disagree on the unit norm", id="10-D45"),
+    pytest.param(82, (1, 17, 10), "disagree on the unit norm", id="82-D329"),
+    pytest.param(399, (1, 39, 1), "disagree on the unit norm", id="399-D1525"),
+    pytest.param(443, (1, 41, 21), "disagree on the unit norm", id="443-D1765"),
+    # ... or strikes keys that are no seeds of D, so the count is overrun
+    pytest.param(10, (1, 5, 4), "not the 2 seeds counted", id="10-D41"),
+    pytest.param(443, (1, 41, 23), "not the 10 seeds counted", id="443-D1773"),
+])
+def test_a_bad_seed_raises_instead_of_looping(m, seed, match, monkeypatch):
+    # the walk trusts its seeds; each of these ends in one of the three
+    # ArithmeticErrors of _class_number instead of a loop or a wrong count
     import pellkit.classgroup
-    assert unit_norm(m) == norm
-    monkeypatch.setattr(pellkit.classgroup, "_unit_norm", lambda _: -norm)
-    with _arithmetic_error_within_5_s(m):
+    real = pellkit.classgroup._reduced_triples
+    D, (a, b, c) = discriminant_of(m), seed
+    s = isqrt(D)[0]
+    assert b < s + 1 - 2 * a or (b * b + 4 * a * c != D
+                                 and isqrt(b * b + 4 * a * c)[0] == s), seed
+
+    def seeded(D, s, amax):
+        yield seed
+        yield from real(D, s, amax)
+    monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", seeded)
+    with _arithmetic_error_within_5_s(m, match):
         class_number(m)
+
+
+def test_prime_power_roots_raise_on_a_non_residue():
+    # _residue_sieve has decided (D/p) = 1 before the roots of p are taken;
+    # a non-residue fails the one check that replaces Euler's criterion
+    for D, p in ((1596, 31), (1596, 41), (4849845, 23), (4849845, 53)):
+        assert pow(D, (p - 1) // 2, p) == p - 1, (D, p)
+        with pytest.raises(ArithmeticError, match="not a square"):
+            _prime_power_roots(D, p, p * p)
 
 
 def _assert_seed_count(D):
@@ -190,6 +223,27 @@ def test_class_data_matches_the_digest_of_every_m_below_30000():
             digest.update(f"{m} {c.h_narrow} {c.h_wide} {c.unit_norm}\n".encode())
     assert digest.hexdigest() == (
         "066414f710445790af00efabdd1cf8f018756945b3cb1a4ea165cb8dc08af240")
+
+
+def test_unit_norm_of_the_walks_matches_the_period_parity():
+    # the parity of the walks against pell.unit_norm, which expands the
+    # period of sqrt(m) and shares no code with them
+    ms = [D if D % 4 == 1 else D // 4 for D in LARGE_FUNDAMENTAL_DS]
+    ms += [m for m in range(2, 30000) if squarefree_core(m)[1]]
+    for m in ms:
+        assert _class_number(m).unit_norm == unit_norm(m), m
+
+
+def test_class_number_expands_no_period(monkeypatch):
+    import pellkit.cfrac
+    import pellkit.pell
+    calls = []
+    for module in (pellkit.cfrac, pellkit.pell):
+        monkeypatch.setattr(module, "_pqa_period",
+                            lambda *args: calls.append(args))
+    for m in (2, 5, 10, 399, 443, 4849845):
+        _class_number(m)
+    assert calls == []
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)

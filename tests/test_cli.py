@@ -241,6 +241,22 @@ def test_verify_exception_row_present(capsys):
     assert len(exception_rows) == 1 and ",7," in exception_rows[0]
 
 
+def test_verify_expands_each_period_once_per_solve(capsys, monkeypatch):
+    # 140 members, 109 of them square-free: solve_pm_N expands sqrt(m) for
+    # +p and for -p, and the class number reads the unit norm off its walks
+    import pellkit.cfrac
+    import pellkit.pell
+    calls = []
+    for module in (pellkit.cfrac, pellkit.pell):
+        def counting(*args, real=module._pqa_period):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, "_pqa_period", counting)
+    rc, _, _ = run_cli(capsys, "verify", "F3", "--pmax", "50", "--nmax", "10")
+    assert rc == 0
+    assert len(calls) == 280
+
+
 def test_tables_exit_codes_follow_the_audit(capsys):
     for t in (1, 2, 3, 4):
         rows = reproduce_table(t)

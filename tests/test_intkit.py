@@ -5,7 +5,7 @@ import pytest
 
 from pellkit import (Factorization, FactorizationIncompleteError, factorize, gcd,
                      is_prime, isqrt, jacobi, squarefree_core)
-from pellkit.intkit import MR_VALID_BELOW, _sqrt_mod
+from pellkit.intkit import MR_VALID_BELOW, _sqrt_mod, _sqrt_mod_residue
 
 from oracle_utils import euler_phi, reference_factorize
 
@@ -255,3 +255,13 @@ def test_sqrt_mod_large_prime_powers():
             assert len(roots) in (0, 1, 2, 4)
     assert len(_sqrt_mod(-1, 5**20)) == 2  # 5 = 1 (mod 4)
     assert len(_sqrt_mod(17, 2**70)) == 4  # 17 = 1 (mod 8)
+
+
+def test_sqrt_mod_residue_is_a_root_exactly_for_the_residues():
+    # without Euler's criterion: a root for a residue, a non-root otherwise,
+    # over primes p = 3 (mod 4) and p = 1 (mod 2^e) up to e = 8
+    for p in (3, 5, 7, 13, 17, 41, 97, 193, 257, 449):
+        squares = {z * z % p for z in range(1, p)}
+        for n in range(1, p):
+            r = _sqrt_mod_residue(n, p)
+            assert (r * r % p == n) == (n in squares), (n, p)
