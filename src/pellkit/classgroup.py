@@ -5,13 +5,14 @@ The reduced forms of discriminant D are (+-a, b, -+c) with 0 < b < sqrt(D),
 |sqrt(D) - 2a| < b and b^2 - 4ac = D, so b is a square root of D modulo 4a.
 They are enumerated from those roots: for each a up to a bound, factored by
 a smallest-prime-factor sieve, the roots modulo each prime power of 4a
-(Tonelli-Shanks, then Hensel lifting one digit at a time) are combined by
-CRT into the roots modulo 2a, and each root class meets the reduction
-window at most once.  An a with a rootless prime power is skipped before it
-is factored, so the work follows the number of roots, not D.  The sieve
-reads off which prime powers have roots from the Legendre symbol (D/p), and
-the roots of a prime are taken only when the first a that needs them is
-reached.
+are combined by CRT into the roots modulo 2a, and each root class meets
+the reduction window at most once.  Every prime-power root comes from
+intkit._sqrt_mod_prime_power, the one modular square-root routine that
+LMM (pell._solve_by_lmm) uses too.  An a with a rootless prime power is
+skipped before it is factored, so the work follows the number of roots, not
+D.  The sieve reads off which prime powers have roots from the Legendre
+symbol (D/p), and the roots modulo p^e of an odd p not dividing D are
+taken only when the first a divisible by exactly p^e is reached.
 
 The rho-cycles of discriminant D are the narrow classes.  The mirror
 sigma: (L, b, C) -> (-L, b, -C) commutes with the rho step, so it maps
@@ -87,7 +88,7 @@ from math import gcd
 from operator import not_
 from typing import Iterator
 
-from .intkit import _sqrt_mod_residue, isqrt, squarefree_core
+from .intkit import _sqrt_mod_prime_power, isqrt, squarefree_core
 
 # Largest isqrt(D) whose class number is computed.  The sieve holds
 # _seed_bound(D) entries, isqrt(D // 9) for all but a few D, and the struck
@@ -104,42 +105,20 @@ _ROOTLESS = b"\xff" * 256
 _HAS_ROOTS = b"\x01" * 255 + b"\x00"
 
 
-def _prime_power_roots(D: int, p: int, amax: int) -> dict[int, list[int]]:
-    """For the prime p, the classes modulo w*q of the roots of
-    x^2 = D (mod w*w*q) for q = p^e <= amax, w = 2 and e >= 0 when p = 2,
-    w = 1 and e >= 1 when p is odd.  Each level is Hensel-lifted from the
-    one below by one p-adic digit; the levels stop at the first without
-    roots.  An odd p not dividing D must have (D/p) = 1, as _residue_sieve
-    has decided: Tonelli-Shanks then gives the first level without testing
-    Euler's criterion again, and a non-root raises ArithmeticError."""
-    if p == 2:
-        w, q, found = 2, 1, [D & 1]
-    elif D % p == 0:
-        w, q, found = 1, p, [0]
-    else:
-        r = _sqrt_mod_residue(D % p, p)
-        if r * r % p != D % p:
-            raise ArithmeticError(f"class_number: {D} is not a square modulo {p}")
-        w, q, found = 1, p, [r, p - r]
-    levels = {q: found}
-    while found and q * p <= amax:
-        step, q = w * q, q * p
-        found = [x for r in found for x in range(r, w * q, step)
-                 if (x * x - D) % (w * w * q) == 0]
-        levels[q] = found
-    return levels
-
-
 @lru_cache(maxsize=1)
 def _residue_sieve(D: int, amax: int) -> tuple[tuple[int, ...], bytes,
                                                tuple[tuple[int, list[int]], ...]]:
     """(spf, rank, roots) for 0 <= a <= amax.  spf[a] is the least prime
-    factor of a composite a and 0 otherwise.  rank[a] is 255 when
-    x^2 = D (mod 4a) has no root; otherwise it counts, over the primes p of
-    a, the levels of _prime_power_roots up to a's power of p at which the
-    number of root classes rises.  roots holds the (q, classes) levels for
-    2 and for each prime dividing D.  An odd p not dividing D has 1 + (D/p)
-    classes at every level, so its roots are left to _reduced_triples.
+    factor of a composite a and 0 otherwise.  For 2 and for each prime p
+    dividing D, roots holds the levels (q, classes) for q = p^e <= amax,
+    e >= 0 for 2 and e >= 1 otherwise, up to the first without classes:
+    the roots of x^2 = D modulo q when p is odd, and when p = 2 the classes
+    modulo 2q of the roots modulo 4q.  Each level comes from
+    intkit._sqrt_mod_prime_power.  rank[a] is 255 when x^2 = D (mod 4a) has
+    no root; otherwise it counts, over the primes p of a, the levels up to
+    a's power of p at which the number of classes rises.  An odd p not
+    dividing D has 1 + (D/p) classes at every level, so rank needs only its
+    Legendre symbol, and its roots are left to _reduced_triples.
     _seed_count and _reduced_triples both read this, hence the cache of
     one, and hence the immutable result."""
     spf = [0] * (amax + 1)
@@ -151,15 +130,20 @@ def _residue_sieve(D: int, amax: int) -> tuple[tuple[int, ...], bytes,
     odd = range(3, amax + 1, 2)
     for p in chain((2,), compress(odd, map(not_, spf[3::2]))):
         if p == 2 or D % p == 0:
-            levels = _prime_power_roots(D, p, amax)
-            roots.update(levels)
+            # level q: the classes modulo w*q of the roots modulo w*w*q = p^e,
+            # which repeat modulo w*q, so the first 1/w of them
+            w, q, e = (2, 1, 2) if p == 2 else (1, p, 1)
             below = 1
-            for q, found in levels.items():
+            while q <= amax:
+                found = _sqrt_mod_prime_power(D, p, e)
+                found = roots[q] = found[:len(found) // w]
                 if not found:
                     rank[q::q] = rank[q::q].translate(_ROOTLESS)
-                elif len(found) > below:
+                    break
+                if len(found) > below:
                     rank[q::q] = rank[q::q].translate(_DOUBLE)
                 below = len(found)
+                q, e = q * p, e + 1
         elif pow(D, (p - 1) // 2, p) == 1:
             rank[p::p] = rank[p::p].translate(_DOUBLE)
         else:
@@ -184,11 +168,14 @@ def _reduced_triples(D: int, s: int, amax: int) -> Iterator[tuple[int, int, int]
 
     b^2 = D (mod 4a) depends on b modulo 2a only, so the roots are taken as
     classes modulo 2a: the CRT product of the classes for the 2-part of a
-    and the roots modulo each odd prime power of a.  The window
-    max(1, s+1-2a, 2a-s) <= b <= s is at most 2a long, so each class gives at
-    most one b.  An a with a rootless prime power is never visited, and the
-    roots of an odd prime not dividing D are taken when an a first needs
-    them, so a caller that stops early never pays for the rest.
+    and the roots modulo each odd prime power of a, all from
+    intkit._sqrt_mod_prime_power.  The window max(1, s+1-2a, 2a-s) <= b <= s
+    is at most 2a long, so each class gives at most one b.  An a with a
+    rootless prime power is never visited.  The roots modulo p^e for an odd
+    prime p not dividing D are taken the first time an a divisible by
+    exactly p^e is reached, so a caller that stops early never pays for the
+    rest.  _residue_sieve has decided that they exist, so an empty answer
+    raises ArithmeticError.
     """
     spf, rank, known = _residue_sieve(D, amax)
     roots = dict(known)
@@ -198,11 +185,16 @@ def _reduced_triples(D: int, s: int, amax: int) -> Iterator[tuple[int, int, int]
         while n > 1:
             p = q = spf[n] or n
             n //= p
+            e = 1
             while n % p == 0:
                 n //= p
                 q *= p
+                e += 1
             if q not in roots:
-                roots.update(_prime_power_roots(D, p, amax))
+                roots[q] = _sqrt_mod_prime_power(D, p, e)
+                if not roots[q]:
+                    raise ArithmeticError(f"class_number: {D} is not a square "
+                                          f"modulo {p}")
             inv = pow(mod, -1, q)
             classes = [x + mod * ((y - x) * inv % q) for x in classes for y in roots[q]]
             mod *= q
@@ -303,11 +295,12 @@ def _class_number(m: int) -> ClassData:
     # that it passes, and stops at the first return of its seed's key: after
     # an odd number n of steps at the mirror (norm -1), after an even n at
     # the seed itself (norm +1).  Each strike counts one seed off
-    # _seed_count(D, A), and the enumeration stops when none is left.  A key
-    # struck twice (as by a walk that never meets its seed's key again and
-    # goes round its cycle a second time), walks whose n differ in parity,
-    # and seeds still owed when the enumeration runs out mean a wrong seed,
-    # count or walk; each raises instead of looping or miscounting.
+    # _seed_count(D, A), and the enumeration stops when none is left.  A seed
+    # with b^2 + 4ac != D, a key struck twice (as by a walk that never meets
+    # its seed's key again and goes round its cycle a second time), walks
+    # whose n differ in parity, and seeds still owed when the enumeration
+    # runs out mean a wrong seed, count or walk; each raises instead of
+    # looping or miscounting.
     D = _discriminant_of(m)
     s = isqrt(D)[0]
     if s > MAX_ROOT_D:
@@ -322,6 +315,9 @@ def _class_number(m: int) -> ClassData:
         start = 2 * a * k + b
         if start in struck:
             continue
+        if b * b + 4 * a * c != D:
+            raise ArithmeticError(f"class_number: the seed ({a}, {b}, {c}) is "
+                                  f"not of discriminant {D}")
         struck.add(start)
         q, q_next = 2 * a, 2 * c
         for n in count(1):

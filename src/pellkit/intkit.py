@@ -7,6 +7,11 @@ a proven deterministic test below MR_VALID_BELOW, and factorization (trial
 division by small primes, then Brent's rho with fixed starts) certifies every
 prime factor that way.  It completes exactly for every n whose prime factors
 lie below MR_VALID_BELOW, and raises for any other.
+
+Square roots modulo n have one layer: _sqrt_mod_prime (Tonelli-Shanks) under
+_sqrt_mod_prime_power (Newton's iteration), under _sqrt_mod (CRT).  LMM in
+pell takes its roots from _sqrt_mod, and the class-number enumeration in
+classgroup from _sqrt_mod_prime_power.
 """
 
 from __future__ import annotations
@@ -220,47 +225,63 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-
 def _sqrt_mod_prime(n: int, p: int) -> int | None:
     """A root of x^2 = n (mod p) for an odd prime p not dividing n, by
-    Tonelli-Shanks; None when n is a non-residue."""
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    return _sqrt_mod_residue(n, p)
-
-
-def _sqrt_mod_residue(n: int, p: int) -> int:
-    """Tonelli-Shanks for an odd prime p not dividing n, without Euler's
-    criterion: a root of x^2 = n (mod p) when n is a quadratic residue, and
-    a non-root otherwise, for callers that have decided the criterion
-    already and check r*r % p == n % p instead."""
+    Tonelli-Shanks; None when n is a non-residue.  Euler's criterion is not
+    tested first: the candidate is checked instead, which costs a product
+    where the criterion costs a modular power."""
     if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:  # r*r = n*t (mod p) throughout
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        if i == e:  # t has order 2^e, so n is a non-residue
-            break
-        b = pow(c, 1 << (e - i - 1), p)
-        e, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+        r = pow(n, (p + 1) // 4, p)
+    else:
+        q, e = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            e += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+        while t != 1:  # r*r = n*t (mod p) throughout
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            if i == e:  # t has order 2^e, so n is a non-residue
+                return None
+            b = pow(c, 1 << (e - i - 1), p)
+            e, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+    return r if r * r % p == n % p else None
 
 
 def _sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
-    """Every x in [0, p^e) with x^2 = a (mod p^e), for a prime p and e >= 1."""
+    """Every x in [0, p^e) with x^2 = a (mod p^e), for a prime p and e >= 1,
+    ascending: Tonelli-Shanks modulo p, then Newton's iteration up to p^e
+    (Cohen, A Course in Computational Algebraic Number Theory (1993), 1.5)."""
     q = p**e
     a %= q
+    if a % p and p > 2:
+        r = _sqrt_mod_prime(a % p, p)
+        if r is None:
+            return []
+        mod = p
+        while mod < q:  # Newton's iteration doubles the p-adic precision
+            mod = min(mod * mod, q)
+            r = (r - (r * r - a) * pow(2 * r, -1, mod)) % mod
+        return sorted((r, q - r))
+    if a % p:  # p = 2: an odd square is 1 modulo 8, and modulo 4 when e = 2
+        if e == 1:
+            return [1]
+        if a % min(q, 8) != 1:
+            return []
+        if e == 2:
+            return [1, 3]
+        r = 1  # a root modulo 8, lifted one bit at a time
+        for j in range(3, e):
+            if (r * r - a) % (2 << j):
+                r += 1 << (j - 1)
+        half = q >> 1
+        return sorted((r, q - r, (r + half) % q, (q - r + half) % q))
     if a == 0:  # x = 0 (mod p^ceil(e/2))
         step = p ** ((e + 1) // 2)
         return list(range(0, q, step))
@@ -273,31 +294,9 @@ def _sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
     # x = p^(t/2) * w with w^2 = a (mod p^k), p not dividing a; w is only
     # fixed modulo p^k, and x modulo p^e lets it range modulo p^(k + t/2)
     k = e - t
-    if p == 2:
-        if k == 1:
-            units = [1]
-        elif k == 2:
-            units = [1, 3] if a % 4 == 1 else []
-        elif a % 8 != 1:
-            units = []
-        else:
-            r = 1  # a root modulo 8, lifted one bit at a time
-            for j in range(3, k):
-                if (r * r - a) % (2 << j):
-                    r += 1 << (j - 1)
-            pk, half = 1 << k, 1 << (k - 1)
-            units = [r, pk - r, (r + half) % pk, (pk - r + half) % pk]
-    else:
-        r = _sqrt_mod_prime(a % p, p)
-        if r is None:
-            return []
-        pk, mod = p**k, p
-        while mod < pk:  # Newton's iteration doubles the p-adic precision
-            mod = min(mod * mod, pk)
-            r = (r - (r * r - a) * pow(2 * r, -1, mod)) % mod
-        units = [r, pk - r]
-    scale, pk = p ** (t // 2), p**k
-    return sorted(scale * (w + j * pk) % q for w in units for j in range(p ** (t // 2)))
+    pk, scale = p**k, p ** (t // 2)
+    return sorted(scale * (w + j * pk) % q
+                  for w in _sqrt_mod_prime_power(a, p, k) for j in range(scale))
 
 
 def _sqrt_mod(a: int, n: int) -> list[int]:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pellkit import (ClassData, class_number, discriminant_of,
                      is_fundamental_discriminant, isqrt, narrow_class_number,
                      squarefree_core, unit_norm)
-from pellkit.classgroup import (_class_number, _prime_power_roots, _reduced_triples,
+from pellkit.classgroup import (_class_number, _reduced_triples, _residue_sieve,
                                 _seed_bound, _seed_count)
 from oracle_utils import (analytic_class_number, reference_narrow_class_number,
                           reference_reduced_forms, reference_rho_cycles)
@@ -126,20 +126,20 @@ def _arithmetic_error_within_5_s(m, match=None):
     # meets the seed's key again and goes round its cycle a second time
     pytest.param(10, (1, 2, 9), "struck a key twice", id="10-below-window"),
     pytest.param(399, (1, 2, 398), "struck a key twice", id="399-below-window"),
-    # reduced for D' = b^2 + 4ac != D with isqrt(D') = isqrt(D): the walk
-    # goes round a cycle of D' in an odd number of steps where D takes an
-    # even number, or the reverse
-    pytest.param(10, (1, 5, 5), "disagree on the unit norm", id="10-D45"),
-    pytest.param(82, (1, 17, 10), "disagree on the unit norm", id="82-D329"),
-    pytest.param(399, (1, 39, 1), "disagree on the unit norm", id="399-D1525"),
-    pytest.param(443, (1, 41, 21), "disagree on the unit norm", id="443-D1765"),
-    # ... or strikes keys that are no seeds of D, so the count is overrun
-    pytest.param(10, (1, 5, 4), "not the 2 seeds counted", id="10-D41"),
-    pytest.param(443, (1, 41, 23), "not the 10 seeds counted", id="443-D1773"),
+    # reduced for D' = b^2 + 4ac != D with isqrt(D') = isqrt(D), and refused
+    # before its walk; unchecked, the walk would go round a cycle of D' in
+    # an odd number of steps where D takes an even number, or the reverse
+    pytest.param(10, (1, 5, 5), "not of discriminant 40", id="10-D45"),
+    pytest.param(82, (1, 17, 10), "not of discriminant 328", id="82-D329"),
+    pytest.param(399, (1, 39, 1), "not of discriminant 1596", id="399-D1525"),
+    pytest.param(443, (1, 41, 21), "not of discriminant 1772", id="443-D1765"),
+    # ... or strike keys that are no seeds of D, so the count is overrun
+    pytest.param(10, (1, 5, 4), "not of discriminant 40", id="10-D41"),
+    pytest.param(443, (1, 41, 23), "not of discriminant 1772", id="443-D1773"),
 ])
 def test_a_bad_seed_raises_instead_of_looping(m, seed, match, monkeypatch):
-    # the walk trusts its seeds; each of these ends in one of the three
-    # ArithmeticErrors of _class_number instead of a loop or a wrong count
+    # each of these ends in one of the ArithmeticErrors of _class_number
+    # instead of a loop or a wrong count
     import pellkit.classgroup
     real = pellkit.classgroup._reduced_triples
     D, (a, b, c) = discriminant_of(m), seed
@@ -155,13 +155,20 @@ def test_a_bad_seed_raises_instead_of_looping(m, seed, match, monkeypatch):
         class_number(m)
 
 
-def test_prime_power_roots_raise_on_a_non_residue():
+def test_prime_power_roots_raise_on_a_non_residue(monkeypatch):
     # _residue_sieve has decided (D/p) = 1 before the roots of p are taken;
-    # a non-residue fails the one check that replaces Euler's criterion
+    # a sieve that marks a non-residue p as having roots gets an empty
+    # answer from _sqrt_mod_prime_power at a = p, which raises
+    import pellkit.classgroup
     for D, p in ((1596, 31), (1596, 41), (4849845, 23), (4849845, 53)):
         assert pow(D, (p - 1) // 2, p) == p - 1, (D, p)
-        with pytest.raises(ArithmeticError, match="not a square"):
-            _prime_power_roots(D, p, p * p)
+        spf, rank, roots = _residue_sieve(D, p)
+        forged = bytearray(rank)
+        forged[p] = 1
+        monkeypatch.setattr(pellkit.classgroup, "_residue_sieve",
+                            lambda D, amax: (spf, bytes(forged), roots))
+        with pytest.raises(ArithmeticError, match=f"not a square modulo {p}"):
+            list(_reduced_triples(D, isqrt(D)[0], p))
 
 
 def _assert_seed_count(D):
@@ -211,6 +218,42 @@ def test_the_seed_enumeration_stops_at_the_last_new_orbit(m, A, last, monkeypatc
     assert _seed_bound(discriminant_of(m)) == A
     class_number(m)
     assert reached[-1] == last
+
+
+@pytest.mark.parametrize("m, last", [(999983, 23), (4849845, 355)])
+def test_odd_prime_roots_are_taken_once_for_a_reached_seed(m, last, monkeypatch):
+    # the roots modulo p^e of an odd p not dividing D are asked for the
+    # first time a seed a with p^e exactly dividing it is reached, and
+    # never for a power that no reached a has
+    import pellkit.classgroup
+    real_triples = pellkit.classgroup._reduced_triples
+    real_roots = pellkit.classgroup._sqrt_mod_prime_power
+    D = discriminant_of(m)
+    reached, asked = [], []
+
+    def recording(D, s, amax):
+        for triple in real_triples(D, s, amax):
+            reached.append(triple[0])
+            yield triple
+
+    def spying(a, p, e):
+        if p > 2 and D % p:
+            asked.append((p, e))
+        return real_roots(a, p, e)
+    monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", recording)
+    monkeypatch.setattr(pellkit.classgroup, "_sqrt_mod_prime_power", spying)
+    class_number(m)
+    assert reached[-1] == last
+    needed = set()
+    for a in set(reached):
+        for p in range(3, a + 1, 2):
+            e = 0
+            while a % p == 0:
+                a //= p
+                e += 1
+            if e and D % p:
+                needed.add((p, e))
+    assert len(asked) == len(set(asked)) and set(asked) == needed
 
 
 def test_class_data_matches_the_digest_of_every_m_below_30000():

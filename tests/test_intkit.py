@@ -5,7 +5,8 @@ import pytest
 
 from pellkit import (Factorization, FactorizationIncompleteError, factorize, gcd,
                      is_prime, isqrt, jacobi, squarefree_core)
-from pellkit.intkit import MR_VALID_BELOW, _sqrt_mod, _sqrt_mod_residue
+from pellkit.intkit import (MR_VALID_BELOW, _sqrt_mod, _sqrt_mod_prime,
+                            _sqrt_mod_prime_power)
 
 from oracle_utils import euler_phi, reference_factorize
 
@@ -258,10 +259,30 @@ def test_sqrt_mod_large_prime_powers():
 
 
 def test_sqrt_mod_residue_is_a_root_exactly_for_the_residues():
-    # without Euler's criterion: a root for a residue, a non-root otherwise,
-    # over primes p = 3 (mod 4) and p = 1 (mod 2^e) up to e = 8
+    # without Euler's criterion: a root for a residue, None otherwise, over
+    # primes p = 3 (mod 4) and p = 1 (mod 2^e) up to e = 8
     for p in (3, 5, 7, 13, 17, 41, 97, 193, 257, 449):
         squares = {z * z % p for z in range(1, p)}
         for n in range(1, p):
-            r = _sqrt_mod_residue(n, p)
-            assert (r * r % p == n) == (n in squares), (n, p)
+            r = _sqrt_mod_prime(n, p)
+            if n in squares:
+                assert r is not None and r * r % p == n, (n, p)
+            else:
+                assert r is None, (n, p)
+
+
+def test_sqrt_mod_prime_power_matches_brute_force_exhaustively():
+    # every a modulo every prime power up to 2048: p | a, odd valuations,
+    # a = 0 and every residue modulo 2^e
+    cases = 0
+    for p in (p for p in range(2, 2049) if euler_phi(p) == p - 1):
+        q, e = p, 1
+        while q <= 2048:
+            by_square: dict[int, list[int]] = {}
+            for z in range(q):
+                by_square.setdefault(z * z % q, []).append(z)
+            for a in range(q):
+                assert _sqrt_mod_prime_power(a, p, e) == by_square.get(a, []), (a, p, e)
+            cases += q
+            q, e = q * p, e + 1
+    assert cases == 305_025
