@@ -10,8 +10,10 @@ the reduction window at most once.  Every prime-power root comes from
 intkit._sqrt_mod_prime_power, the one modular square-root routine that
 LMM (pell._solve_by_lmm) uses too.  An a with a rootless prime power is
 skipped before it is factored, so the work follows the number of roots, not
-D.  The sieve reads off which prime powers have roots from the Legendre
-symbol (D/p), and the roots modulo p^e of an odd p not dividing D are
+D.  The sieve reads off which prime powers have roots from one Euler power
+D^((p-1)/2) mod p per odd prime p: 1 when p splits, p - 1 when it is inert,
+0 when it divides D.  A prime p > amax/2 is its own only multiple, so it
+sets its one entry.  The roots modulo p^e of an odd p not dividing D are
 taken only when the first a divisible by exactly p^e is reached.
 
 The rho-cycles of discriminant D are the narrow classes.  The mirror
@@ -71,9 +73,16 @@ seeds.  rho is multiplicative, and an odd prime p not dividing D has
 1 + (D/p) classes modulo every power of p, so S takes no root except those
 of 2 and of the primes dividing D.  The walks count the seeds off S; the
 enumeration ends at the largest least seed a* of a sigma-orbit, and a*/A
-is about 0.46 in the median over the audit's class numbers.  A key struck
-twice, walks that disagree on the unit norm, or seeds still owed once the
-enumeration runs out raise ArithmeticError instead of giving a wrong count.
+is about 0.46 in the median over the audit's class numbers.
+The count is also kept per row: a starts with rho(a) seeds owed, and each
+strike of a key with q = 2a takes one off, since that key is the seed
+(a, b, c) of a and no other.  A row with none owed is skipped before it is
+factored or its roots are taken, as each of its seeds would meet a struck
+key; in one audit round that skips about half of the rows the enumeration
+reaches.  A key struck twice, walks that disagree on the unit norm, seeds
+still owed once the enumeration runs out, or a row owed more or fewer
+strikes than it got once S is used up raise ArithmeticError instead of
+giving a wrong count.
 
 All sqrt(D) comparisons are done on squares in integer arithmetic: a float
 at the reduction-window boundary can silently merge or split cycles.
@@ -83,7 +92,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, count
+from itertools import chain, compress
 from math import gcd
 from operator import not_
 from typing import Iterator
@@ -93,7 +102,7 @@ from .intkit import _sqrt_mod_prime_power, isqrt, squarefree_core
 # Largest isqrt(D) whose class number is computed.  The sieve holds
 # _seed_bound(D) entries, isqrt(D // 9) for all but a few D, and the struck
 # seeds grow with it: at the limit (D near 4*10^12) a class number took
-# 1.0-1.1 s and 104 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
+# 0.9-1.3 s and 109 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
 # and anything larger is refused before either is allocated.
 MAX_ROOT_D = 2_000_000
 
@@ -103,6 +112,11 @@ MAX_ROOT_D = 2_000_000
 _DOUBLE = bytes(range(1, 255)) + b"\xff\xff"
 _ROOTLESS = b"\xff" * 256
 _HAS_ROOTS = b"\x01" * 255 + b"\x00"
+# rho(a) = 2^rank[a] seeds at a, and none where rank[a] = 255.  A seed a is
+# at most MAX_ROOT_D / 2 < 2*3*5*7*11*13*17*19, so it has at most 7 prime
+# factors, and 2^rank fits in a byte.
+_SEEDS = bytes(1 << e for e in range(8)) + bytes(248)
+_STRUCK_TWICE = "class_number: a walk struck a key twice"
 
 
 @lru_cache(maxsize=1)
@@ -127,9 +141,11 @@ def _residue_sieve(D: int, amax: int) -> tuple[tuple[int, ...], bytes,
     rank = bytearray(amax + 1)
     rank[0] = 255  # 0 is no seed
     roots = {}
-    odd = range(3, amax + 1, 2)
-    for p in chain((2,), compress(odd, map(not_, spf[3::2]))):
-        if p == 2 or D % p == 0:
+    primes = list(compress(range(3, amax + 1, 2), map(not_, spf[3::2])))
+    half = amax // 2
+    # Euler's criterion, one power per prime: 1 split, p - 1 inert, 0 ramified
+    for p, euler in chain(((2, 0),), zip(primes, [pow(D, p >> 1, p) for p in primes])):
+        if euler == 0:
             # level q: the classes modulo w*q of the roots modulo w*w*q = p^e,
             # which repeat modulo w*q, so the first 1/w of them
             w, q, e = (2, 1, 2) if p == 2 else (1, p, 1)
@@ -144,10 +160,10 @@ def _residue_sieve(D: int, amax: int) -> tuple[tuple[int, ...], bytes,
                     rank[q::q] = rank[q::q].translate(_DOUBLE)
                 below = len(found)
                 q, e = q * p, e + 1
-        elif pow(D, (p - 1) // 2, p) == 1:
-            rank[p::p] = rank[p::p].translate(_DOUBLE)
+        elif p > half:  # p is its own only multiple
+            rank[p] = (_DOUBLE if euler == 1 else _ROOTLESS)[rank[p]]
         else:
-            rank[p::p] = rank[p::p].translate(_ROOTLESS)
+            rank[p::p] = rank[p::p].translate(_DOUBLE if euler == 1 else _ROOTLESS)
     return tuple(spf), bytes(rank), tuple(roots.items())
 
 
@@ -161,7 +177,8 @@ def _seed_count(D: int, amax: int) -> int:
     return sum(rank.count(e) << e for e in range(amax.bit_length() + 1))
 
 
-def _reduced_triples(D: int, s: int, amax: int) -> Iterator[tuple[int, int, int]]:
+def _reduced_triples(D: int, s: int, amax: int,
+                     left: list[int] | None = None) -> Iterator[tuple[int, int, int]]:
     """Every (a, b, c) with 0 < a <= amax and c > 0 such that (a, b, -c) and
     (-a, b, c) are reduced primitive forms of discriminant D = b^2 + 4ac,
     s = isqrt(D), amax <= s; in order of a.
@@ -175,11 +192,15 @@ def _reduced_triples(D: int, s: int, amax: int) -> Iterator[tuple[int, int, int]
     prime p not dividing D are taken the first time an a divisible by
     exactly p^e is reached, so a caller that stops early never pays for the
     rest.  _residue_sieve has decided that they exist, so an empty answer
-    raises ArithmeticError.
+    raises ArithmeticError.  When left is given, an a with left[a] = 0 is
+    skipped before it is factored: _class_number keeps there the number of
+    seeds of a not yet struck.
     """
     spf, rank, known = _residue_sieve(D, amax)
     roots = dict(known)
     for a in compress(range(amax + 1), rank.translate(_HAS_ROOTS)):
+        if left is not None and not left[a]:
+            continue
         q = a & -a
         n, classes, mod = a // q, roots[q], 2 * q
         while n > 1:
@@ -295,11 +316,13 @@ def _class_number(m: int) -> ClassData:
     # that it passes, and stops at the first return of its seed's key: after
     # an odd number n of steps at the mirror (norm -1), after an even n at
     # the seed itself (norm +1).  Each strike counts one seed off
-    # _seed_count(D, A), and the enumeration stops when none is left.  A seed
-    # with b^2 + 4ac != D, a key struck twice (as by a walk that never meets
-    # its seed's key again and goes round its cycle a second time), walks
-    # whose n differ in parity, and seeds still owed when the enumeration
-    # runs out mean a wrong seed, count or walk; each raises instead of
+    # _seed_count(D, A) and one off left[q/2], the seeds owed at its row;
+    # the enumeration skips the rows with none owed and stops when no seed
+    # is left.  A seed with b^2 + 4ac != D, a key struck twice (as by a walk
+    # that never meets its seed's key again and goes round its cycle a
+    # second time), walks whose n differ in parity, seeds still owed when
+    # the enumeration runs out, and rows still owed or overstruck when it
+    # stops mean a wrong seed, count or walk; each raises instead of
     # looping or miscounting.
     D = _discriminant_of(m)
     s = isqrt(D)[0]
@@ -309,9 +332,10 @@ def _class_number(m: int) -> ClassData:
     A = _seed_bound(D)
     k, top = s + 1, 2 * A
     seeds = _seed_count(D, A)
+    left = list(_residue_sieve(D, A)[1].translate(_SEEDS))  # seeds owed at a
     struck = set()
     norm = walks = 0
-    for a, b, c in _reduced_triples(D, s, A):
+    for a, b, c in _reduced_triples(D, s, A, left):
         start = 2 * a * k + b
         if start in struck:
             continue
@@ -320,19 +344,33 @@ def _class_number(m: int) -> ClassData:
                                   f"not of discriminant {D}")
         struck.add(start)
         q, q_next = 2 * a, 2 * c
-        for n in count(1):
+        left[a] -= 1
+        # two steps a turn: n is odd after the first and even after the second
+        while True:
             t = (s + b) // q_next
             b, b_prev = t * q_next - b, b
             q, q_next = q_next, q + t * (b_prev - b)
             if q <= top:
                 key = q * k + b
                 if key == start:
+                    walk_norm = -1
                     break
                 if key in struck:
-                    raise ArithmeticError("class_number: a walk struck a key "
-                                          "twice")
+                    raise ArithmeticError(_STRUCK_TWICE)
                 struck.add(key)
-        walk_norm = -1 if n & 1 else 1
+                left[q >> 1] -= 1
+            t = (s + b) // q_next
+            b, b_prev = t * q_next - b, b
+            q, q_next = q_next, q + t * (b_prev - b)
+            if q <= top:
+                key = q * k + b
+                if key == start:
+                    walk_norm = 1
+                    break
+                if key in struck:
+                    raise ArithmeticError(_STRUCK_TWICE)
+                struck.add(key)
+                left[q >> 1] -= 1
         if walk_norm != norm:
             if norm:
                 raise ArithmeticError("class_number: the walks disagree on "
@@ -344,4 +382,7 @@ def _class_number(m: int) -> ClassData:
     else:
         raise ArithmeticError(f"class_number: the walks struck {len(struck)} "
                               f"keys, not the {seeds} seeds counted")
+    if any(left):
+        raise ArithmeticError("class_number: the walks struck a row's seeds "
+                              "more or fewer times than the row has")
     return ClassData(m, D, walks if norm == -1 else 2 * walks, walks, norm)

@@ -147,9 +147,9 @@ def test_a_bad_seed_raises_instead_of_looping(m, seed, match, monkeypatch):
     assert b < s + 1 - 2 * a or (b * b + 4 * a * c != D
                                  and isqrt(b * b + 4 * a * c)[0] == s), seed
 
-    def seeded(D, s, amax):
+    def seeded(D, s, amax, left):
         yield seed
-        yield from real(D, s, amax)
+        yield from real(D, s, amax, left)
     monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", seeded)
     with _arithmetic_error_within_5_s(m, match):
         class_number(m)
@@ -210,8 +210,8 @@ def test_the_seed_enumeration_stops_at_the_last_new_orbit(m, A, last, monkeypatc
     real = pellkit.classgroup._reduced_triples
     reached = []
 
-    def recording(D, s, amax):
-        for triple in real(D, s, amax):
+    def recording(D, s, amax, left):
+        for triple in real(D, s, amax, left):
             reached.append(triple[0])
             yield triple
     monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", recording)
@@ -231,8 +231,8 @@ def test_odd_prime_roots_are_taken_once_for_a_reached_seed(m, last, monkeypatch)
     D = discriminant_of(m)
     reached, asked = [], []
 
-    def recording(D, s, amax):
-        for triple in real_triples(D, s, amax):
+    def recording(D, s, amax, left):
+        for triple in real_triples(D, s, amax, left):
             reached.append(triple[0])
             yield triple
 
@@ -254,6 +254,93 @@ def test_odd_prime_roots_are_taken_once_for_a_reached_seed(m, last, monkeypatch)
             if e and D % p:
                 needed.add((p, e))
     assert len(asked) == len(set(asked)) and set(asked) == needed
+
+
+def _record_triples(monkeypatch):
+    """The list that each triple _class_number's enumeration yields is
+    appended to, in order."""
+    import pellkit.classgroup
+    real = pellkit.classgroup._reduced_triples
+    triples = []
+
+    def recording(D, s, amax, left):
+        for triple in real(D, s, amax, left):
+            triples.append(triple)
+            yield triple
+    monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", recording)
+    return triples
+
+
+# 423799 = (21 * 31)^2 - 2 is the F4 member p = 31, n = 10 of
+# verify F4 --pmax 50 --nmax 10
+@pytest.mark.parametrize("m", [999983, 4849845, 423799])
+def test_rows_whose_seeds_are_all_struck_are_skipped(m, monkeypatch):
+    # after the rows below a, every sigma-orbit with a seed below a has been
+    # walked, so a is reached exactly when it is the least seed row of some
+    # orbit of the reference cycles; the roots modulo p^e of an odd p not
+    # dividing D are taken just before the first reached row that p^e
+    # exactly divides is yielded, and for no other row
+    import pellkit.classgroup
+    real_roots = pellkit.classgroup._sqrt_mod_prime_power
+    D = discriminant_of(m)
+    triples, asked = _record_triples(monkeypatch), []
+
+    def spying(a, p, e):
+        if p > 2 and D % p:
+            asked.append((p, e, len(triples)))
+        return real_roots(a, p, e)
+    monkeypatch.setattr(pellkit.classgroup, "_sqrt_mod_prime_power", spying)
+    _class_number(m)
+    cycles = [frozenset(cycle) for cycle in reference_rho_cycles(D)]
+    mirrors = [frozenset((-a, b, -c) for a, b, c in cycle) for cycle in cycles]
+    least = {min(abs(a) for a, _, _ in cycle | mirror)
+             for cycle, mirror in zip(cycles, mirrors)}
+    rows = [a for a, _, _ in triples]
+    assert rows == sorted(rows) and set(rows) == least
+    first = {}
+    for i, a in enumerate(rows):
+        for p in range(3, a + 1, 2):
+            e = 0
+            while a % p == 0:
+                a //= p
+                e += 1
+            if e and D % p:
+                first.setdefault((p, e), i)
+    assert sorted(asked) == sorted((p, e, i) for (p, e), i in first.items())
+
+
+@pytest.mark.parametrize("m", [999983, 4849845])
+def test_a_forged_row_count_raises(m, monkeypatch):
+    # rho(a) = 2^rank[a] seeds are owed at a.  A rank one step high or low
+    # at a reached row makes both that row's count and the seed count wrong,
+    # and raises instead of giving a class number.  A row 2^r high and
+    # another 2^r low leave the seed count right, and the rows' counts are
+    # then not all 0 once the seeds are used up
+    import pellkit.classgroup
+    D = discriminant_of(m)
+    spf, rank, roots = _residue_sieve(D, _seed_bound(D))
+    triples = _record_triples(monkeypatch)
+    _class_number(m)
+    reached = sorted({a for a, _, _ in triples})
+
+    def forged(*steps):
+        forgery = bytearray(rank)
+        for a, step in steps:
+            forgery[a] += step
+        monkeypatch.setattr(pellkit.classgroup, "_residue_sieve",
+                            lambda D, amax: (spf, bytes(forgery), roots))
+    for a in reached:
+        for step in (1, -1) if rank[a] else (1,):
+            forged((a, step))
+            with _arithmetic_error_within_5_s(m):
+                _class_number(m)
+    pairs = [(next(low for low in reached if rank[low] == rank[a] - 1), a)
+             for a in reached if rank[a]]
+    assert pairs
+    for low, a in pairs:
+        forged((low, 1), (a, -1))
+        with _arithmetic_error_within_5_s(m, "more or fewer times"):
+            _class_number(m)
 
 
 def test_class_data_matches_the_digest_of_every_m_below_30000():
@@ -374,9 +461,9 @@ def test_class_number_enumerates_only_the_small_seeds(monkeypatch):
     real = pellkit.classgroup._reduced_triples
     asked = []
 
-    def recording(D, s, amax):
+    def recording(D, s, amax, left):
         asked.append((D, amax))
-        return real(D, s, amax)
+        return real(D, s, amax, left)
     monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", recording)
     # sqrt(D)/3, except at the Markov discriminants D = 8 and 221
     for m, n in ((399, 9), (443, 9), (4849845, 9), (2, 5), (221, 5)):
