@@ -12,8 +12,7 @@ LMM (pell._solve_by_lmm) uses too.  An a with a rootless prime power is
 skipped before it is factored, so the work follows the number of roots, not
 D.  The sieve reads off which prime powers have roots from one Euler power
 D^((p-1)/2) mod p per odd prime p: 1 when p splits, p - 1 when it is inert,
-0 when it divides D.  A prime p > amax/2 is its own only multiple, so it
-sets its one entry.  The roots modulo p^e of an odd p not dividing D are
+0 when it divides D.  The roots modulo p^e of an odd p not dividing D are
 taken only when the first a divisible by exactly p^e is reached.
 
 The rho-cycles of discriminant D are the narrow classes.  The mirror
@@ -79,10 +78,12 @@ strike of a key with q = 2a takes one off, since that key is the seed
 (a, b, c) of a and no other.  A row with none owed is skipped before it is
 factored or its roots are taken, as each of its seeds would meet a struck
 key; in one audit round that skips about half of the rows the enumeration
-reaches.  A key struck twice, walks that disagree on the unit norm, seeds
-still owed once the enumeration runs out, or a row owed more or fewer
-strikes than it got once S is used up raise ArithmeticError instead of
-giving a wrong count.
+reaches.  Every strike pays for the count, also where it cannot pay back:
+for a large D with small h the enumeration stops after a row or two, and
+at the limit the count is about a fifth of the time.  A key struck twice,
+walks that disagree on the unit norm, seeds still owed once the
+enumeration runs out, or a row owed more or fewer strikes than it got once
+S is used up raise ArithmeticError instead of giving a wrong count.
 
 All sqrt(D) comparisons are done on squares in integer arithmetic: a float
 at the reduction-window boundary can silently merge or split cycles.
@@ -92,7 +93,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, cycle
 from math import gcd
 from operator import not_
 from typing import Iterator
@@ -102,7 +103,7 @@ from .intkit import _sqrt_mod_prime_power, isqrt, squarefree_core
 # Largest isqrt(D) whose class number is computed.  The sieve holds
 # _seed_bound(D) entries, isqrt(D // 9) for all but a few D, and the struck
 # seeds grow with it: at the limit (D near 4*10^12) a class number took
-# 0.9-1.3 s and 109 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
+# 0.7-1.4 s and 110 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
 # and anything larger is refused before either is allocated.
 MAX_ROOT_D = 2_000_000
 
@@ -116,7 +117,6 @@ _HAS_ROOTS = b"\x01" * 255 + b"\x00"
 # at most MAX_ROOT_D / 2 < 2*3*5*7*11*13*17*19, so it has at most 7 prime
 # factors, and 2^rank fits in a byte.
 _SEEDS = bytes(1 << e for e in range(8)) + bytes(248)
-_STRUCK_TWICE = "class_number: a walk struck a key twice"
 
 
 @lru_cache(maxsize=1)
@@ -142,7 +142,6 @@ def _residue_sieve(D: int, amax: int) -> tuple[tuple[int, ...], bytes,
     rank[0] = 255  # 0 is no seed
     roots = {}
     primes = list(compress(range(3, amax + 1, 2), map(not_, spf[3::2])))
-    half = amax // 2
     # Euler's criterion, one power per prime: 1 split, p - 1 inert, 0 ramified
     for p, euler in chain(((2, 0),), zip(primes, [pow(D, p >> 1, p) for p in primes])):
         if euler == 0:
@@ -160,8 +159,6 @@ def _residue_sieve(D: int, amax: int) -> tuple[tuple[int, ...], bytes,
                     rank[q::q] = rank[q::q].translate(_DOUBLE)
                 below = len(found)
                 q, e = q * p, e + 1
-        elif p > half:  # p is its own only multiple
-            rank[p] = (_DOUBLE if euler == 1 else _ROOTLESS)[rank[p]]
         else:
             rank[p::p] = rank[p::p].translate(_DOUBLE if euler == 1 else _ROOTLESS)
     return tuple(spf), bytes(rank), tuple(roots.items())
@@ -178,7 +175,7 @@ def _seed_count(D: int, amax: int) -> int:
 
 
 def _reduced_triples(D: int, s: int, amax: int,
-                     left: list[int] | None = None) -> Iterator[tuple[int, int, int]]:
+                     left: list[int]) -> Iterator[tuple[int, int, int]]:
     """Every (a, b, c) with 0 < a <= amax and c > 0 such that (a, b, -c) and
     (-a, b, c) are reduced primitive forms of discriminant D = b^2 + 4ac,
     s = isqrt(D), amax <= s; in order of a.
@@ -192,14 +189,14 @@ def _reduced_triples(D: int, s: int, amax: int,
     prime p not dividing D are taken the first time an a divisible by
     exactly p^e is reached, so a caller that stops early never pays for the
     rest.  _residue_sieve has decided that they exist, so an empty answer
-    raises ArithmeticError.  When left is given, an a with left[a] = 0 is
-    skipped before it is factored: _class_number keeps there the number of
-    seeds of a not yet struck.
+    raises ArithmeticError.  An a with left[a] = 0 is skipped before it is
+    factored: _class_number keeps there the number of seeds of a not yet
+    struck, and a caller that wants every triple passes no zero.
     """
     spf, rank, known = _residue_sieve(D, amax)
     roots = dict(known)
     for a in compress(range(amax + 1), rank.translate(_HAS_ROOTS)):
-        if left is not None and not left[a]:
+        if not left[a]:
             continue
         q = a & -a
         n, classes, mod = a // q, roots[q], 2 * q
@@ -345,30 +342,17 @@ def _class_number(m: int) -> ClassData:
         struck.add(start)
         q, q_next = 2 * a, 2 * c
         left[a] -= 1
-        # two steps a turn: n is odd after the first and even after the second
-        while True:
+        for walk_norm in cycle((-1, 1)):  # -1 after an odd number of steps
             t = (s + b) // q_next
             b, b_prev = t * q_next - b, b
             q, q_next = q_next, q + t * (b_prev - b)
             if q <= top:
                 key = q * k + b
                 if key == start:
-                    walk_norm = -1
                     break
                 if key in struck:
-                    raise ArithmeticError(_STRUCK_TWICE)
-                struck.add(key)
-                left[q >> 1] -= 1
-            t = (s + b) // q_next
-            b, b_prev = t * q_next - b, b
-            q, q_next = q_next, q + t * (b_prev - b)
-            if q <= top:
-                key = q * k + b
-                if key == start:
-                    walk_norm = 1
-                    break
-                if key in struck:
-                    raise ArithmeticError(_STRUCK_TWICE)
+                    raise ArithmeticError("class_number: a walk struck a key "
+                                          "twice")
                 struck.add(key)
                 left[q >> 1] -= 1
         if walk_norm != norm:

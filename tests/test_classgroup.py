@@ -26,7 +26,7 @@ def test_discriminant_of_examples():
 
 
 def test_reduced_forms_examples():
-    assert list(_reduced_triples(8, 2, 2)) == [(1, 2, 1)]  # (1, 2, -1), (-1, 2, 1)
+    assert list(_reduced_triples(8, 2, 2, [1] * 3)) == [(1, 2, 1)]  # (1, 2, -1), (-1, 2, 1)
     assert narrow_class_number(8) == 1
     assert narrow_class_number(40) == 2
     assert narrow_class_number(1596) == 16
@@ -56,7 +56,8 @@ def test_reduced_forms_match_trial_division_in_order():
         s = isqrt(D)[0]
         reference = reference_reduced_forms(D)
         for amax in (s, isqrt(D // 5)[0], isqrt(D // 9)[0]):
-            triples = sorted(_reduced_triples(D, s, amax), key=lambda t: (t[1], t[0]))
+            triples = sorted(_reduced_triples(D, s, amax, [1] * (amax + 1)),
+                             key=lambda t: (t[1], t[0]))
             forms = [f for a, b, c in triples for f in ((a, b, -c), (-a, b, c))]
             assert forms == [f for f in reference if abs(f[0]) <= amax], (D, amax)
 
@@ -168,13 +169,13 @@ def test_prime_power_roots_raise_on_a_non_residue(monkeypatch):
         monkeypatch.setattr(pellkit.classgroup, "_residue_sieve",
                             lambda D, amax: (spf, bytes(forged), roots))
         with pytest.raises(ArithmeticError, match=f"not a square modulo {p}"):
-            list(_reduced_triples(D, isqrt(D)[0], p))
+            list(_reduced_triples(D, isqrt(D)[0], p, [1] * (p + 1)))
 
 
 def _assert_seed_count(D):
     s, A = isqrt(D)[0], _seed_bound(D)
     assert 2 * A <= s, D
-    assert _seed_count(D, A) == len(list(_reduced_triples(D, s, A))), D
+    assert _seed_count(D, A) == len(list(_reduced_triples(D, s, A, [1] * (A + 1)))), D
 
 
 def test_seed_count_is_the_number_of_seeds_for_every_fundamental_D():
