@@ -69,12 +69,13 @@ _seed_bound(D) <= s/2 for every D.  For a fundamental D every form is
 primitive, since a content g > 1 would make D/g^2 a discriminant, so the
 gcd filter never fires, and there are exactly S = sum_{a <= A} rho(a)
 seeds.  rho is multiplicative, and an odd prime p not dividing D has
-1 + (D/p) classes modulo every power of p, so S takes no root except those
-of 2 and of the primes dividing D.  The walks count the seeds off S; the
-enumeration ends at the largest least seed a* of a sigma-orbit, and a*/A
-is about 0.46 in the median over the audit's class numbers.
-The count is also kept per row: a starts with rho(a) seeds owed, and each
-strike of a key with q = 2a takes one off, since that key is the seed
+1 + (D/p) classes modulo every power of p, so the sieve gives the row
+seeds[a] = rho(a) of every a <= A, and their sum S, with no root except
+those of 2 and of the primes dividing D.  The walks count the seeds off S;
+the enumeration ends at the largest least seed a* of a sigma-orbit, and
+a*/A is about 0.46 in the median over the audit's class numbers.
+The count is also kept per row: the rho(a) seeds of row a are owed, and
+each strike of a key with q = 2a takes one off, since that key is the seed
 (a, b, c) of a and no other.  A row with none owed is skipped before it is
 factored or its roots are taken, as each of its seeds would meet a struck
 key; in one audit round that skips about half of the rows the enumeration
@@ -92,7 +93,6 @@ at the reduction-window boundary can silently merge or split cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, compress, cycle
 from math import gcd
 from operator import not_
@@ -103,43 +103,36 @@ from .intkit import _sqrt_mod_prime_power, isqrt, squarefree_core
 # Largest isqrt(D) whose class number is computed.  The sieve holds
 # _seed_bound(D) entries, isqrt(D // 9) for all but a few D, and the struck
 # seeds grow with it: at the limit (D near 4*10^12) a class number took
-# 0.7-1.4 s and 110 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
+# 0.7-1.4 s and 105 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
 # and anything larger is refused before either is allocated.
 MAX_ROOT_D = 2_000_000
 
 
-# Translations of the rank bytes of _residue_sieve: twice the root classes,
-# no roots (255, which both keep), and "has roots".
-_DOUBLE = bytes(range(1, 255)) + b"\xff\xff"
-_ROOTLESS = b"\xff" * 256
-_HAS_ROOTS = b"\x01" * 255 + b"\x00"
-# rho(a) = 2^rank[a] seeds at a, and none where rank[a] = 255.  A seed a is
-# at most MAX_ROOT_D / 2 < 2*3*5*7*11*13*17*19, so it has at most 7 prime
-# factors, and 2^rank fits in a byte.
-_SEEDS = bytes(1 << e for e in range(8)) + bytes(248)
+# Doubles a row of _residue_sieve.  A seed a <= MAX_ROOT_D / 2 <
+# 2*3*5*7*11*13*17*19 has at most 7 prime factors, so rho(a) <= 2^7 for a
+# fundamental D; for any other D the row saturates at 255 and never reads 0.
+_DOUBLE = bytes(min(2 * n, 255) for n in range(256))
 
 
-@lru_cache(maxsize=1)
-def _residue_sieve(D: int, amax: int) -> tuple[tuple[int, ...], bytes,
-                                               tuple[tuple[int, list[int]], ...]]:
-    """(spf, rank, roots) for 0 <= a <= amax.  spf[a] is the least prime
-    factor of a composite a and 0 otherwise.  For 2 and for each prime p
-    dividing D, roots holds the levels (q, classes) for q = p^e <= amax,
+def _residue_sieve(D: int, amax: int) -> tuple[list[int], list[int],
+                                               dict[int, list[int]]]:
+    """(spf, seeds, roots) for 0 <= a <= amax.  spf[a] is the least prime
+    factor of a composite a and 0 otherwise.  seeds[a] is rho(a), the number
+    of root classes modulo 2a of x^2 = D (mod 4a), for a fundamental D; for
+    any D it is 0 exactly when there is no root, and seeds[0] = 0.  For 2
+    and for each prime p dividing D, roots holds the levels q = p^e <= amax,
     e >= 0 for 2 and e >= 1 otherwise, up to the first without classes:
     the roots of x^2 = D modulo q when p is odd, and when p = 2 the classes
     modulo 2q of the roots modulo 4q.  Each level comes from
-    intkit._sqrt_mod_prime_power.  rank[a] is 255 when x^2 = D (mod 4a) has
-    no root; otherwise it counts, over the primes p of a, the levels up to
-    a's power of p at which the number of classes rises.  An odd p not
-    dividing D has 1 + (D/p) classes at every level, so rank needs only its
-    Legendre symbol, and its roots are left to _reduced_triples.
-    _seed_count and _reduced_triples both read this, hence the cache of
-    one, and hence the immutable result."""
+    intkit._sqrt_mod_prime_power.  seeds[a] doubles, over the primes p of a,
+    at each level up to a's power of p at which the number of classes
+    rises, and is 0 when one level has no classes.  An odd p not dividing D
+    has 1 + (D/p) classes at every level, so seeds needs only its Legendre
+    symbol, and its roots are left to _reduced_triples."""
     spf = [0] * (amax + 1)
     for p in range(isqrt(amax)[0], 1, -1):  # the least prime factor writes last
         spf[p * p::p] = [p] * len(range(p * p, amax + 1, p))
-    rank = bytearray(amax + 1)
-    rank[0] = 255  # 0 is no seed
+    seeds = bytearray(b"\x00" + b"\x01" * amax)
     roots = {}
     primes = list(compress(range(3, amax + 1, 2), map(not_, spf[3::2])))
     # Euler's criterion, one power per prime: 1 split, p - 1 inert, 0 ramified
@@ -153,51 +146,39 @@ def _residue_sieve(D: int, amax: int) -> tuple[tuple[int, ...], bytes,
                 found = _sqrt_mod_prime_power(D, p, e)
                 found = roots[q] = found[:len(found) // w]
                 if not found:
-                    rank[q::q] = rank[q::q].translate(_ROOTLESS)
+                    seeds[q::q] = bytes(amax // q)
                     break
                 if len(found) > below:
-                    rank[q::q] = rank[q::q].translate(_DOUBLE)
+                    seeds[q::q] = seeds[q::q].translate(_DOUBLE)
                 below = len(found)
                 q, e = q * p, e + 1
         else:
-            rank[p::p] = rank[p::p].translate(_DOUBLE if euler == 1 else _ROOTLESS)
-    return tuple(spf), bytes(rank), tuple(roots.items())
+            seeds[p::p] = seeds[p::p].translate(_DOUBLE) if euler == 1 else bytes(amax // p)
+    return spf, list(seeds), roots
 
 
-def _seed_count(D: int, amax: int) -> int:
-    """Sum over 0 < a <= amax of the number rho(a) of root classes of
-    x^2 = D (mod 4a) modulo 2a, for a fundamental D.  Every level then has
-    0, 1 or 2 classes, so rho(a) = 2^rank[a] in _residue_sieve.  When
-    2*amax <= isqrt(D) this is the number of triples that
-    _reduced_triples(D, isqrt(D), amax) yields (see the module docstring)."""
-    rank = _residue_sieve(D, amax)[1]
-    return sum(rank.count(e) << e for e in range(amax.bit_length() + 1))
-
-
-def _reduced_triples(D: int, s: int, amax: int,
-                     left: list[int]) -> Iterator[tuple[int, int, int]]:
-    """Every (a, b, c) with 0 < a <= amax and c > 0 such that (a, b, -c) and
-    (-a, b, c) are reduced primitive forms of discriminant D = b^2 + 4ac,
-    s = isqrt(D), amax <= s; in order of a.
+def _reduced_triples(D: int, s: int, spf: list[int], left: list[int],
+                     roots: dict[int, list[int]]) -> Iterator[tuple[int, int, int]]:
+    """Every (a, b, c) with 0 < a < len(left), left[a] != 0 and c > 0 such
+    that (a, b, -c) and (-a, b, c) are reduced primitive forms of
+    discriminant D = b^2 + 4ac, s = isqrt(D), len(left) <= s + 1; in order
+    of a.  spf and roots are those of _residue_sieve, whose seeds a caller
+    that wants every triple passes as left:
+    _reduced_triples(D, s, *_residue_sieve(D, amax)).
 
     b^2 = D (mod 4a) depends on b modulo 2a only, so the roots are taken as
     classes modulo 2a: the CRT product of the classes for the 2-part of a
     and the roots modulo each odd prime power of a, all from
     intkit._sqrt_mod_prime_power.  The window max(1, s+1-2a, 2a-s) <= b <= s
-    is at most 2a long, so each class gives at most one b.  An a with a
-    rootless prime power is never visited.  The roots modulo p^e for an odd
-    prime p not dividing D are taken the first time an a divisible by
-    exactly p^e is reached, so a caller that stops early never pays for the
-    rest.  _residue_sieve has decided that they exist, so an empty answer
-    raises ArithmeticError.  An a with left[a] = 0 is skipped before it is
-    factored: _class_number keeps there the number of seeds of a not yet
-    struck, and a caller that wants every triple passes no zero.
+    is at most 2a long, so each class gives at most one b.  The roots modulo
+    p^e for an odd prime p not dividing D are taken the first time an a
+    divisible by exactly p^e is reached, so a caller that stops early never
+    pays for the rest.  The sieve has decided that they exist, so an empty
+    answer raises ArithmeticError.  left[a] is read only when the
+    enumeration reaches a, so a row that _class_number has used up by then,
+    with no seed left unstruck, is skipped before it is factored.
     """
-    spf, rank, known = _residue_sieve(D, amax)
-    roots = dict(known)
-    for a in compress(range(amax + 1), rank.translate(_HAS_ROOTS)):
-        if not left[a]:
-            continue
+    for a in compress(range(len(left)), left):
         q = a & -a
         n, classes, mod = a // q, roots[q], 2 * q
         while n > 1:
@@ -312,15 +293,15 @@ def _class_number(m: int) -> ClassData:
     # whose key is not struck, strikes the key of every form with q <= 2A
     # that it passes, and stops at the first return of its seed's key: after
     # an odd number n of steps at the mirror (norm -1), after an even n at
-    # the seed itself (norm +1).  Each strike counts one seed off
-    # _seed_count(D, A) and one off left[q/2], the seeds owed at its row;
-    # the enumeration skips the rows with none owed and stops when no seed
-    # is left.  A seed with b^2 + 4ac != D, a key struck twice (as by a walk
-    # that never meets its seed's key again and goes round its cycle a
-    # second time), walks whose n differ in parity, seeds still owed when
-    # the enumeration runs out, and rows still owed or overstruck when it
-    # stops mean a wrong seed, count or walk; each raises instead of
-    # looping or miscounting.
+    # the seed itself (norm +1).  The sieve's left[a] = rho(a) are the
+    # seeds owed at each row a.  Each strike counts one off their sum and
+    # one off left[q/2]; the enumeration skips the rows with none owed and
+    # stops when no seed is left.  A seed with b^2 + 4ac != D, a key struck
+    # twice (as by a walk that never meets its seed's key again and goes
+    # round its cycle a second time), walks whose n differ in parity, seeds
+    # still owed when the enumeration runs out, and rows still owed or
+    # overstruck when it stops mean a wrong seed, count or walk; each raises
+    # instead of looping or miscounting.
     D = _discriminant_of(m)
     s = isqrt(D)[0]
     if s > MAX_ROOT_D:
@@ -328,11 +309,11 @@ def _class_number(m: int) -> ClassData:
                             f"exceeds the enumeration limit {MAX_ROOT_D}")
     A = _seed_bound(D)
     k, top = s + 1, 2 * A
-    seeds = _seed_count(D, A)
-    left = list(_residue_sieve(D, A)[1].translate(_SEEDS))  # seeds owed at a
+    spf, left, roots = _residue_sieve(D, A)
+    seeds = sum(left)
     struck = set()
     norm = walks = 0
-    for a, b, c in _reduced_triples(D, s, A, left):
+    for a, b, c in _reduced_triples(D, s, spf, left, roots):
         start = 2 * a * k + b
         if start in struck:
             continue

@@ -1,6 +1,7 @@
 import hashlib
 import signal
 from contextlib import contextmanager
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from pellkit import (ClassData, class_number, discriminant_of,
                      is_fundamental_discriminant, isqrt, narrow_class_number,
                      squarefree_core, unit_norm)
 from pellkit.classgroup import (_class_number, _reduced_triples, _residue_sieve,
-                                _seed_bound, _seed_count)
+                                _seed_bound)
 from oracle_utils import (analytic_class_number, reference_narrow_class_number,
                           reference_reduced_forms, reference_rho_cycles)
 
@@ -26,7 +27,7 @@ def test_discriminant_of_examples():
 
 
 def test_reduced_forms_examples():
-    assert list(_reduced_triples(8, 2, 2, [1] * 3)) == [(1, 2, 1)]  # (1, 2, -1), (-1, 2, 1)
+    assert list(_reduced_triples(8, 2, *_residue_sieve(8, 2))) == [(1, 2, 1)]  # (1, 2, -1), (-1, 2, 1)
     assert narrow_class_number(8) == 1
     assert narrow_class_number(40) == 2
     assert narrow_class_number(1596) == 16
@@ -56,7 +57,7 @@ def test_reduced_forms_match_trial_division_in_order():
         s = isqrt(D)[0]
         reference = reference_reduced_forms(D)
         for amax in (s, isqrt(D // 5)[0], isqrt(D // 9)[0]):
-            triples = sorted(_reduced_triples(D, s, amax, [1] * (amax + 1)),
+            triples = sorted(_reduced_triples(D, s, *_residue_sieve(D, amax)),
                              key=lambda t: (t[1], t[0]))
             forms = [f for a, b, c in triples for f in ((a, b, -c), (-a, b, c))]
             assert forms == [f for f in reference if abs(f[0]) <= amax], (D, amax)
@@ -148,34 +149,65 @@ def test_a_bad_seed_raises_instead_of_looping(m, seed, match, monkeypatch):
     assert b < s + 1 - 2 * a or (b * b + 4 * a * c != D
                                  and isqrt(b * b + 4 * a * c)[0] == s), seed
 
-    def seeded(D, s, amax, left):
+    def seeded(*args):
         yield seed
-        yield from real(D, s, amax, left)
+        yield from real(*args)
     monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", seeded)
     with _arithmetic_error_within_5_s(m, match):
         class_number(m)
 
 
-def test_prime_power_roots_raise_on_a_non_residue(monkeypatch):
-    # _residue_sieve has decided (D/p) = 1 before the roots of p are taken;
-    # a sieve that marks a non-residue p as having roots gets an empty
-    # answer from _sqrt_mod_prime_power at a = p, which raises
+@pytest.mark.parametrize("m", [10, 399])
+def test_walks_that_disagree_on_the_unit_norm_raise(m, monkeypatch):
+    # the second walk counts its steps from the other parity, so it reads
+    # the other norm off the same cycle
     import pellkit.classgroup
+    real = pellkit.classgroup.cycle
+    walks = []
+
+    def flipped(parities):
+        walks.append(parities)
+        return real(parities if len(walks) == 1 else parities[::-1])
+    monkeypatch.setattr(pellkit.classgroup, "cycle", flipped)
+    with _arithmetic_error_within_5_s(m, "disagree on the unit norm"):
+        _class_number(m)
+    assert len(walks) == 2
+
+
+def test_a_row_that_doubles_eight_times_keeps_its_triples():
+    # D = 2^20 * 15015 is no fundamental discriminant: x^2 = D (mod 2^18)
+    # has 2^9 roots, so the row a = 2^16 doubles eight times in the sieve;
+    # it saturates instead of wrapping round to 0, which would drop the row
+    D, a = 4 ** 10 * 15015, 2 ** 16
+    s = isqrt(D)[0]
+    spf, seeds, roots = _residue_sieve(D, a)
+    assert (seeds[a // 2], seeds[a]) == (128, 255)
+    triples = list(_reduced_triples(D, s, spf, [0] * a + [seeds[a]], roots))
+    assert triples == [(a, b, (D - b * b) // (4 * a))
+                       for b in range(max(1, s + 1 - 2 * a, 2 * a - s), s + 1)
+                       if (D - b * b) % (4 * a) == 0
+                       and gcd(a, b, (D - b * b) // (4 * a)) == 1]
+    assert triples
+
+
+def test_prime_power_roots_raise_on_a_non_residue():
+    # _residue_sieve has decided (D/p) = 1 before the roots of p are taken;
+    # a sieve that gives a non-residue p seeds gets an empty answer from
+    # _sqrt_mod_prime_power at a = p, which raises
     for D, p in ((1596, 31), (1596, 41), (4849845, 23), (4849845, 53)):
         assert pow(D, (p - 1) // 2, p) == p - 1, (D, p)
-        spf, rank, roots = _residue_sieve(D, p)
-        forged = bytearray(rank)
-        forged[p] = 1
-        monkeypatch.setattr(pellkit.classgroup, "_residue_sieve",
-                            lambda D, amax: (spf, bytes(forged), roots))
+        spf, seeds, roots = _residue_sieve(D, p)
+        assert seeds[p] == 0, (D, p)
+        seeds[p] = 2
         with pytest.raises(ArithmeticError, match=f"not a square modulo {p}"):
-            list(_reduced_triples(D, isqrt(D)[0], p, [1] * (p + 1)))
+            list(_reduced_triples(D, isqrt(D)[0], spf, seeds, roots))
 
 
 def _assert_seed_count(D):
     s, A = isqrt(D)[0], _seed_bound(D)
     assert 2 * A <= s, D
-    assert _seed_count(D, A) == len(list(_reduced_triples(D, s, A, [1] * (A + 1)))), D
+    spf, seeds, roots = _residue_sieve(D, A)
+    assert sum(seeds) == len(list(_reduced_triples(D, s, spf, seeds, roots))), D
 
 
 def test_seed_count_is_the_number_of_seeds_for_every_fundamental_D():
@@ -194,12 +226,18 @@ def test_seed_count_is_the_number_of_seeds_for_large_D(D):
 
 @pytest.mark.parametrize("m", [2, 10, 399, 443])
 def test_a_seed_count_one_too_high_raises(m, monkeypatch):
+    # row 1, which has the one seed (1, b, c), is forged one seed high, so
     # every seed is struck and the enumeration runs out with one left over
     import pellkit.classgroup
-    real = pellkit.classgroup._seed_count
-    monkeypatch.setattr(pellkit.classgroup, "_seed_count",
-                        lambda D, amax: real(D, amax) + 1)
-    with _arithmetic_error_within_5_s(m):
+    real = pellkit.classgroup._residue_sieve
+
+    def forged(D, amax):
+        spf, seeds, roots = real(D, amax)
+        assert seeds[1] == 1, D
+        seeds[1] = 2
+        return spf, seeds, roots
+    monkeypatch.setattr(pellkit.classgroup, "_residue_sieve", forged)
+    with _arithmetic_error_within_5_s(m, "not the"):
         class_number(m)
 
 
@@ -211,8 +249,8 @@ def test_the_seed_enumeration_stops_at_the_last_new_orbit(m, A, last, monkeypatc
     real = pellkit.classgroup._reduced_triples
     reached = []
 
-    def recording(D, s, amax, left):
-        for triple in real(D, s, amax, left):
+    def recording(*args):
+        for triple in real(*args):
             reached.append(triple[0])
             yield triple
     monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", recording)
@@ -232,8 +270,8 @@ def test_odd_prime_roots_are_taken_once_for_a_reached_seed(m, last, monkeypatch)
     D = discriminant_of(m)
     reached, asked = [], []
 
-    def recording(D, s, amax, left):
-        for triple in real_triples(D, s, amax, left):
+    def recording(*args):
+        for triple in real_triples(*args):
             reached.append(triple[0])
             yield triple
 
@@ -264,8 +302,8 @@ def _record_triples(monkeypatch):
     real = pellkit.classgroup._reduced_triples
     triples = []
 
-    def recording(D, s, amax, left):
-        for triple in real(D, s, amax, left):
+    def recording(*args):
+        for triple in real(*args):
             triples.append(triple)
             yield triple
     monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", recording)
@@ -312,34 +350,35 @@ def test_rows_whose_seeds_are_all_struck_are_skipped(m, monkeypatch):
 
 @pytest.mark.parametrize("m", [999983, 4849845])
 def test_a_forged_row_count_raises(m, monkeypatch):
-    # rho(a) = 2^rank[a] seeds are owed at a.  A rank one step high or low
-    # at a reached row makes both that row's count and the seed count wrong,
-    # and raises instead of giving a class number.  A row 2^r high and
-    # another 2^r low leave the seed count right, and the rows' counts are
-    # then not all 0 once the seeds are used up
+    # seeds[a] = rho(a) seeds are owed at a, a power of 2 for a fundamental
+    # D.  A row doubled, or halved where it has more than one seed, at a
+    # reached row makes both that row's count and the seed count wrong, and
+    # raises instead of giving a class number.  A row doubled and another
+    # with twice its seeds halved leave the seed count right, and the rows'
+    # counts are then not all 0 once the seeds are used up
     import pellkit.classgroup
     D = discriminant_of(m)
-    spf, rank, roots = _residue_sieve(D, _seed_bound(D))
+    spf, seeds, roots = _residue_sieve(D, _seed_bound(D))
     triples = _record_triples(monkeypatch)
     _class_number(m)
     reached = sorted({a for a, _, _ in triples})
 
-    def forged(*steps):
-        forgery = bytearray(rank)
-        for a, step in steps:
-            forgery[a] += step
+    def forged(*rows):
+        forgery = list(seeds)
+        for a, n in rows:
+            forgery[a] = n
         monkeypatch.setattr(pellkit.classgroup, "_residue_sieve",
-                            lambda D, amax: (spf, bytes(forgery), roots))
+                            lambda D, amax: (spf, forgery, dict(roots)))
     for a in reached:
-        for step in (1, -1) if rank[a] else (1,):
-            forged((a, step))
+        for n in (2 * seeds[a], seeds[a] // 2) if seeds[a] > 1 else (2 * seeds[a],):
+            forged((a, n))
             with _arithmetic_error_within_5_s(m):
                 _class_number(m)
-    pairs = [(next(low for low in reached if rank[low] == rank[a] - 1), a)
-             for a in reached if rank[a]]
+    pairs = [(next(low for low in reached if 2 * seeds[low] == seeds[a]), a)
+             for a in reached if seeds[a] > 1]
     assert pairs
     for low, a in pairs:
-        forged((low, 1), (a, -1))
+        forged((low, 2 * seeds[low]), (a, seeds[a] // 2))
         with _arithmetic_error_within_5_s(m, "more or fewer times"):
             _class_number(m)
 
@@ -458,14 +497,15 @@ def test_class_number_factorizes_m_once(monkeypatch):
 
 
 def test_class_number_enumerates_only_the_small_seeds(monkeypatch):
+    # one sieve per class number, over the seeds a <= _seed_bound(D)
     import pellkit.classgroup
-    real = pellkit.classgroup._reduced_triples
+    real = pellkit.classgroup._residue_sieve
     asked = []
 
-    def recording(D, s, amax, left):
+    def recording(D, amax):
         asked.append((D, amax))
-        return real(D, s, amax, left)
-    monkeypatch.setattr(pellkit.classgroup, "_reduced_triples", recording)
+        return real(D, amax)
+    monkeypatch.setattr(pellkit.classgroup, "_residue_sieve", recording)
     # sqrt(D)/3, except at the Markov discriminants D = 8 and 221
     for m, n in ((399, 9), (443, 9), (4849845, 9), (2, 5), (221, 5)):
         D = discriminant_of(m)
