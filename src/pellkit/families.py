@@ -140,7 +140,6 @@ def gen_members(family: str, p_max: int, n_max: int,
                 congruence_ok=congruence_ok,
                 phi_gt_4=check_yamaguchi_hypothesis(m),
             ))
-    members.sort(key=lambda mem: (mem.p, mem.n))
     return members
 
 

@@ -3,9 +3,10 @@ quadratic fields, closed-form units for the four d^2 + r families
 (r in {-1, +3, +2, -2}), and a complete decision procedure for
 x^2 - m*y^2 = N.
 
-The +-1 solutions and the unit of Z[sqrt(m)] are one classical read: with
-l the period of sqrt(m), the convergent at index l-1 is the least solution
-of norm (-1)^l, and for odd l its square is the least +1 solution.
+Every unit is one read, `_least_unit`: the first return of Q to q0 in the
+PQa expansion of (p0 + sqrt(m))/q0.  From sqrt(m) it is the convergent at
+index l-1, l the period, the least solution of norm (-1)^l (for odd l its
+square is the least +1 solution); from (1 + sqrt(m))/2 the half-integral unit.
 
 Solvability certificates are about primitive solutions (coprime x, y); for
 square-free |N| that is every solution.  An empty certificate is a proof.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .cfrac import CFExpansion, _convergent_pairs, _pqa_period, cf_sqrt
+from .cfrac import _convergent_pairs, _pqa_period
 from .intkit import _sqrt_mod, isqrt, squarefree_core
 
 D2MINUS1 = "D2MINUS1"  # m = d^2 - 1, even d
@@ -119,25 +120,35 @@ def _require_nonsquare(m: int, who: str) -> None:
         raise ValueError(f"{who}: m must be >= 2 and not a perfect square (got {m})")
 
 
-def _least_unit(exp: CFExpansion) -> tuple[int, int]:
-    """The convergent (x, y) at index l-1 of sqrt(m), l the period: the least
-    positive solution of x^2 - m*y^2 = (-1)^l, which is the fundamental unit
-    x + y*sqrt(m) of Z[sqrt(m)].  The pair is read bare off
-    `_convergent_pairs` and its norm is checked once."""
-    ell = exp.period_length
-    x, y = next(islice(_convergent_pairs(exp.a0, exp.period), ell - 1, None))
-    if x * x - exp.m * y * y != (-1) ** ell:
-        raise ArithmeticError("pell: (-1)^l missing at the classical index l-1")
-    return x, y
+def _require_squarefree(m: int, who: str) -> None:
+    if m < 2 or not squarefree_core(m)[1]:
+        raise ValueError(f"{who}: m must be square-free and >= 2 "
+                         "(pass the square-free core)")
+
+
+def _least_unit(m: int, p0: int = 0, q0: int = 1) -> tuple[int, int, int]:
+    """PQa on (p0 + sqrt(m))/q0 up to the first return of Q to q0, at
+    qs[i] = Q_(i+1): (G_i, B_i, sign) with G^2 - m*B^2 = sign * q0^2 and
+    sign = (-1)^(i+1) (Jacobson and Williams, *Solving the Pell Equation*,
+    2009).  The principal cycle always holds Q = q0, so a cycle that closes
+    without it, or a pair of another norm, is a broken invariant."""
+    a0, period, qs = _pqa_period(m, p0, q0)
+    if q0 not in qs:
+        raise ArithmeticError(f"pell: principal cycle closed without Q = {q0}")
+    i = qs.index(q0)
+    g, b = next(islice(_convergent_pairs(a0, period, p0, q0), i, None))
+    sign = 1 if i % 2 else -1
+    if g * g - m * b * b != sign * q0 * q0:
+        raise ArithmeticError(f"pell: the first return of Q = {q0} is not a unit")
+    return g, b, sign
 
 
 def pell_fundamental(m: int) -> tuple[int, int]:
     """Least positive solution of x^2 - m*y^2 = 1: the convergent at index
     l-1 when the period l is even, and its square when l is odd."""
     _require_nonsquare(m, "pell_fundamental")
-    exp = cf_sqrt(m)
-    x, y = _least_unit(exp)
-    if exp.period_length % 2:
+    x, y, sign = _least_unit(m)
+    if sign < 0:
         return x * x + m * y * y, 2 * x * y
     return x, y
 
@@ -146,38 +157,18 @@ def neg_pell(m: int) -> tuple[int, int] | None:
     """Least positive solution of x^2 - m*y^2 = -1, present exactly when the
     period l of sqrt(m) is odd; then it is the convergent at index l-1."""
     _require_nonsquare(m, "neg_pell")
-    exp = cf_sqrt(m)
-    return _least_unit(exp) if exp.period_length % 2 else None
-
-
-def _half_unit_scan(m: int) -> QuadraticInteger:
-    """PQa on (1 + sqrt(m))/2 for square-free m = 1 (mod 4): the first return
-    of Q to 2 yields the fundamental unit (G + B*sqrt(m))/2 of the maximal
-    order.  The principal cycle always contains Q = 2, so a cycle that
-    closes without it is a broken invariant."""
-    a0, period, qs = _pqa_period(m, 1, 2)
-    if 2 not in qs:
-        raise ArithmeticError("half-unit scan: principal cycle closed without Q = 2")
-    # qs[j] = Q_(j+1) = 2 pairs with (G_j, B_j)
-    g, b = next(islice(_convergent_pairs(a0, period, 1, 2), qs.index(2), None))
-    unit = QuadraticInteger.make(g, b, m, 2)
-    if abs(unit.norm) != 1:
-        raise ArithmeticError("half-unit scan produced a non-unit")
-    return unit
+    x, y, sign = _least_unit(m)
+    return (x, y) if sign < 0 else None
 
 
 def fundamental_unit(m: int) -> QuadraticInteger:
     """Fundamental unit (> 1) of the ring of integers of Q(sqrt(m)) for
-    square-free m >= 2.  For m = 1 (mod 4) it comes from the half-integral
-    search; otherwise it is the convergent at index l-1, read off one
-    expansion of sqrt(m)."""
-    if m < 2 or not squarefree_core(m)[1]:
-        raise ValueError("fundamental_unit: m must be square-free and >= 2 "
-                         "(pass the square-free core)")
-    if m % 4 == 1:
-        return _half_unit_scan(m)
-    x, y = _least_unit(cf_sqrt(m))
-    return QuadraticInteger(x, y, m)
+    square-free m >= 2: the first return of Q to q0 in the expansion of
+    (q0 - 1 + sqrt(m))/q0, with q0 = 2 for m = 1 (mod 4) and 1 otherwise."""
+    _require_squarefree(m, "fundamental_unit")
+    q0 = 2 if m % 4 == 1 else 1
+    g, b, _ = _least_unit(m, q0 - 1, q0)
+    return QuadraticInteger.make(g, b, m, q0)
 
 
 def unit_norm(m: int) -> int:
@@ -185,10 +176,8 @@ def unit_norm(m: int) -> int:
     m >= 2: -1 exactly when the period of sqrt(m) is odd.  That is the norm
     of the fundamental unit of Z[sqrt(m)], whose unit group has index 1 or 3
     in that of the maximal order; an odd power keeps the norm."""
-    if m < 2 or not squarefree_core(m)[1]:
-        raise ValueError("unit_norm: m must be square-free and >= 2 "
-                         "(pass the square-free core)")
-    return -1 if cf_sqrt(m).period_length % 2 else 1
+    _require_squarefree(m, "unit_norm")
+    return -1 if len(_pqa_period(m)[1]) % 2 else 1
 
 
 def rd_unit(family: str, d: int) -> QuadraticInteger:
@@ -312,13 +301,11 @@ def _solve_by_lmm(m: int, N: int) -> PellCertificate:
             raw.append(next(islice(_convergent_pairs(a0, rest, z, n), hit, None)))
     sols = []
     if raw:
-        exp = cf_sqrt(m)
-        t, w = _least_unit(exp)  # norm (-1)^l
-        odd = exp.period_length % 2
-        u, v = (t * t + m * w * w, 2 * t * w) if odd else (t, w)
+        t, w, sign = _least_unit(m)
+        u, v = (t * t + m * w * w, 2 * t * w) if sign < 0 else (t, w)
         for x, y in raw:
             if x * x - m * y * y != N:
-                if not odd:
+                if sign > 0:
                     continue
                 x, y = x * t + m * y * w, x * w + y * t
             sols.append(_least_positive_member(x, y, m, N, u, v))

@@ -9,7 +9,7 @@ from pellkit import (QuadraticInteger, brute_force_solve, fundamental_unit,
                      gcd, isqrt, neg_pell, pell_fundamental, rd_unit,
                      solve_pm_N, squarefree_core, unit_norm)
 from pellkit.cfrac import _pqa_period
-from pellkit.pell import PellCertificate, _half_unit_scan
+from pellkit.pell import PellCertificate
 
 from oracle_utils import (_same_class, _unit_times, orbit_closure, period_length,
                           primitive_brute_force, reference_bounded_search,
@@ -263,7 +263,7 @@ def test_half_unit_scan_always_meets_q_equal_2():
     for m in range(5, 5000, 4):
         if not squarefree_core(m)[1]:
             continue
-        unit = _half_unit_scan(m)
+        unit = fundamental_unit(m)
         assert isinstance(unit, QuadraticInteger) and abs(unit.norm) == 1, m
 
 
@@ -291,17 +291,42 @@ def test_classical_index_matches_surd_state_oracle():
 
 def test_fundamental_unit_expands_sqrt_m_once(monkeypatch):
     import pellkit.pell
-    real = pellkit.pell.cf_sqrt
+    real = pellkit.pell._pqa_period
     calls = []
 
-    def counting(m):
-        calls.append(m)
-        return real(m)
-    monkeypatch.setattr(pellkit.pell, "cf_sqrt", counting)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(pellkit.pell, "_pqa_period", counting)
     for m in (399, 7, 2, 10):  # even and odd periods, m != 1 (mod 4)
         calls.clear()
         fundamental_unit(m)
-        assert calls == [m]
+        assert calls == [(m, 0, 1)]
+    for m in (5, 13):  # the half-integral unit, from (1 + sqrt(m))/2
+        calls.clear()
+        fundamental_unit(m)
+        assert calls == [(m, 1, 2)]
+
+
+@pytest.mark.parametrize("m", [7, 13])  # q0 = 1 and q0 = 2
+@pytest.mark.parametrize("breakage, message", [("no return", "closed without Q"),
+                                               ("wrong pair", "is not a unit")])
+def test_a_broken_unit_read_raises(monkeypatch, capsys, m, breakage, message):
+    import pellkit.pell
+    from pellkit.cli import main
+    real = pellkit.pell._pqa_period
+
+    def broken(m, p0, q0):
+        a0, period, qs = real(m, p0, q0)
+        if breakage == "no return":
+            return a0, period, [q for q in qs if q != q0]
+        return a0 + 1, period, qs
+    monkeypatch.setattr(pellkit.pell, "_pqa_period", broken)
+    with pytest.raises(ArithmeticError, match=message):
+        fundamental_unit(m)
+    assert main(["unit", str(m)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("pellkit: ") and err.count("\n") == 1
 
 
 def test_lmm_matches_bounded_search():
