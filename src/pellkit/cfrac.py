@@ -5,6 +5,11 @@ One bare-int PQa loop, `_pqa_period`, expands (P + sqrt(m))/Q from any
 start and keeps the Q sequence: for sqrt(m) the convergents satisfy
 p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1), so `pell` reads Pell values off Q
 as small integers and builds convergents only where it needs them.
+The period l of sqrt(m), and of (1 + sqrt(m))/2 for odd m, is a palindrome:
+a_k = a_(l-k), Q_k = Q_(l-k) and P_k = P_(l+1-k).  So the loop stops at its
+centre, P_k = P_(k+1) (l = 2k) or Q_k = Q_(k+1) (l = 2k + 1), and mirrors
+the rest; `pell` reads the unit and the convergents past the centre off the
+first half too.
 Convergents come from one lazy bare-int recurrence, `_convergent_pairs`,
 which also builds the units and the LMM solutions of `pell`.
 """
@@ -48,6 +53,14 @@ def _pqa_period(m: int, p0: int = 0, q0: int = 1) -> tuple[int, list[int], list[
     periodic with Q > 0, so Q_(j+1) = Q_(j-1) + a_j*(P_j - P_(j+1)) needs no
     division.  The period closes when the full state (P, Q) returns to
     (P_r, Q_r); partial-quotient runs can coincide transiently, states cannot.
+
+    The two principal starts, (p0, q0) = (0, 1) and (1, 2), have palindromic
+    periods (a_k = a_(l-k), Q_k = Q_(l-k), P_k = P_(l+1-k)), so their loop
+    stops at the first P_k = P_(k+1), the centre of an even period l = 2k,
+    or Q_k = Q_(k+1), the centre of an odd one, l = 2k + 1 (Q_1 = q0 is
+    period 1), and reverses the first half; the last terms are
+    a_l = (P_1 + isqrt(m)) // q0 and Q_l = q0.  Every other start, LMM's
+    among them, runs the whole period.
     """
     root = isqrt(m)[0]
     a_first = (p0 + root) // q0 if q0 > 0 else (p0 + root + 1) // q0
@@ -62,15 +75,26 @@ def _pqa_period(m: int, p0: int = 0, q0: int = 1) -> tuple[int, list[int], list[
         q, q_prev = (m - p_next * p_next) // q, q
         p = p_next
     p_r, q_r = p, q
-    while True:
+    mirror = (p0, q0) in ((0, 1), (1, 2))
+    while not (mirror and q == q_prev):
         a = (p + root) // q
         quotients.append(a)
         qs.append(q)
         p_next = a * q - p
         q, q_prev = q_prev + a * (p - p_next), q
+        if mirror and p_next == p:  # P_k = P_(k+1): even period l = 2k
+            quotients += quotients[-2::-1]
+            qs += qs[-2::-1]
+            break
         p = p_next
         if p == p_r and q == q_r:
             return a_first, quotients, qs
+    else:  # Q_k = Q_(k+1): odd period l = 2k + 1 (k = 0 is period 1)
+        quotients += quotients[::-1]
+        qs += qs[::-1]
+    quotients.append((p_r + root) // q0)
+    qs.append(q0)
+    return a_first, quotients, qs
 
 
 def _convergent_pairs(a0: int, period: Sequence[int], p0: int = 0,

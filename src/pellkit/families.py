@@ -29,7 +29,7 @@ from .classgroup import _class_number, class_number
 from .intkit import is_prime, isqrt, squarefree_core
 from .published_tables import TABLE_FAMILY, TABLES
 from .pell import (D2MINUS1, D2MINUS2, D2PLUS2, D2PLUS3, PellCertificate,
-                   solve_pm_N)
+                   _solve_by_convergents, solve_pm_N)
 
 FAMILY_IDS = ("F1", "F2", "F3", "F4")
 
@@ -153,8 +153,10 @@ def verify_member(member: FamilyMember) -> VerificationReport:
         raise ValueError("verify_member: m is a perfect square")
     if member.n >= 1:
         assert p * p < m, "p < sqrt(m) must hold for every n >= 1 member"
-    cert_plus = solve_pm_N(m, p)
-    cert_minus = solve_pm_N(m, -p)
+    if p * p < m:  # one expansion of sqrt(m) decides both signs
+        cert_plus, cert_minus = _solve_by_convergents(m, p, -p)
+    else:
+        cert_plus, cert_minus = solve_pm_N(m, p), solve_pm_N(m, -p)
     if member.family == "F4" and member.d == 3:
         upheld = (not cert_plus.has_solutions
                   and cert_minus.solutions == EXCEPTIONAL_SOLUTIONS)

@@ -7,13 +7,16 @@ Every unit is one read, `_least_unit`: the first return of Q to q0 in the
 PQa expansion of (p0 + sqrt(m))/q0.  From sqrt(m) it is the convergent at
 index l-1, l the period, the least solution of norm (-1)^l (for odd l its
 square is the least +1 solution); from (1 + sqrt(m))/2 the half-integral unit.
+The period is a palindrome, so the read takes the pairs only up to its
+centre and squares, or multiplies, the one or two pairs there.
 
 Solvability certificates are about primitive solutions (coprime x, y); for
 square-free |N| that is every solution.  An empty certificate is a proof.
 For |N| < sqrt(m) it comes from a scan of the PQa Q sequence of sqrt(m)
 over one period of Pell values, which reads
 p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1) as small integers for both signs of
-N at once and builds the convergents (p_k, q_k) only up to its last hit.
+N at once and builds the convergents (p_k, q_k) only up to the centre of
+the palindromic period; the unit and every later hit follow from those.
 For larger |N| it comes from the Lagrange-Matthews-Mollin method: one PQa
 run on (z + sqrt(m))/|N| for each square root z of m modulo |N|, so the
 cost follows the period and the factorization of |N|, not the size of the
@@ -127,20 +130,39 @@ def _require_squarefree(m: int, who: str) -> None:
 
 
 def _least_unit(m: int, p0: int = 0, q0: int = 1) -> tuple[int, int, int]:
-    """PQa on (p0 + sqrt(m))/q0 up to the first return of Q to q0, at
-    qs[i] = Q_(i+1): (G_i, B_i, sign) with G^2 - m*B^2 = sign * q0^2 and
-    sign = (-1)^(i+1) (Jacobson and Williams, *Solving the Pell Equation*,
-    2009).  The principal cycle always holds Q = q0, so a cycle that closes
-    without it, or a pair of another norm, is a broken invariant."""
+    """PQa on (p0 + sqrt(m))/q0 up to the first return of Q to q0, at the end
+    of the period l, qs[l-1] = Q_l: (G_(l-1), B_(l-1), sign) with
+    G^2 - m*B^2 = sign * q0^2 and sign = (-1)^l (Jacobson and Williams,
+    *Solving the Pell Equation*, 2009), read from the pairs up to the centre
+    of the palindromic period.  The principal cycle always holds Q = q0, so
+    a cycle that closes without it, or a pair of another norm, is a broken
+    invariant."""
     a0, period, qs = _pqa_period(m, p0, q0)
     if q0 not in qs:
         raise ArithmeticError(f"pell: principal cycle closed without Q = {q0}")
-    i = qs.index(q0)
-    g, b = next(islice(_convergent_pairs(a0, period, p0, q0), i, None))
-    sign = 1 if i % 2 else -1
-    if g * g - m * b * b != sign * q0 * q0:
+    pairs = [(q0, 0), *islice(_convergent_pairs(a0, period, p0, q0), (len(qs) + 1) // 2)]
+    return _centre_unit(m, q0, qs, pairs)
+
+
+def _centre_unit(m: int, q0: int, qs: list[int],
+                 pairs: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """The unit (G_(l-1), B_(l-1), (-1)^l) of a palindromic period l = len(qs)
+    from the pairs[j + 1] = (G_j, B_j), j = -1, ..., up to its centre k = l // 2:
+    (G_(k-1) + B_(k-1)*sqrt(m))^2 / Q_k for even l, and
+    (G_(k-1) + B_(k-1)*sqrt(m)) * (G_k + B_k*sqrt(m)) / Q_k for odd l."""
+    ell = len(qs)
+    k = ell // 2
+    q_k = qs[k - 1]
+    g, b = pairs[k]
+    if ell % 2:
+        g2, b2 = pairs[k + 1]
+        x, y, sign = g * g2 + m * b * b2, g * b2 + g2 * b, -1
+    else:
+        x, y, sign = g * g + m * b * b, 2 * g * b, 1
+    (x, rx), (y, ry) = divmod(x, q_k), divmod(y, q_k)
+    if rx or ry or x * x - m * y * y != sign * q0 * q0:
         raise ArithmeticError(f"pell: the first return of Q = {q0} is not a unit")
-    return g, b, sign
+    return x, y, sign
 
 
 def pell_fundamental(m: int) -> tuple[int, int]:
@@ -236,26 +258,42 @@ def brute_force_solve(m: int, N: int, y_max: int) -> list[tuple[int, int]]:
     return out
 
 
-def _solve_by_convergents(m: int, N: int) -> PellCertificate:
+def _solve_by_convergents(m: int, *targets: int) -> tuple[PellCertificate, ...]:
     # Complete for coprime solutions when N^2 < m: every positive primitive
     # solution is a convergent, and p_k^2 - m*q_k^2 = (-1)^(k+1) * Q_(k+1).
     # The Pell values repeat with period l (l even) or 2l (l odd), and one
     # such period later each convergent is multiplied by the +1 unit, so a
     # single value period holds the least positive member of every class.
+    # The period is a palindrome, so the convergents are built only up to
+    # its centre: with eps = (p_(l-1), q_(l-1)), the convergent at k < l is
+    # eps * conj(p_(l-2-k), q_(l-2-k)) up to sign, and at k >= l (odd l) it
+    # is eps * (p_(k-l), q_(k-l)).  One expansion serves every target N.
     a0, period, qs = _pqa_period(m)
     ell = len(period)
-    if qs[-1] != 1:  # Q_l = 1 is the +1 unit at index l-1 (l even) or 2l-1 (l odd)
-        raise ArithmeticError("solve_pm_N: +1 unit missing from the scan")
-    span = ell if ell % 2 == 0 else 2 * ell
-    target = abs(N)
-    hits = [k for k in range(1 if N > 0 else 0, span, 2) if qs[k % ell] == target]
-    pairs = _convergent_pairs(a0, period)
-    found: list[tuple[int, int]] = []
-    k = 0  # index of the next pair drawn
-    for hit in hits:
-        found.append(next(islice(pairs, hit - k, None)))
-        k = hit + 1
-    return PellCertificate(m, N, tuple(found), 2 * ell, "convergents")
+    half = (ell + 1) // 2  # convergents 0, ..., half - 1 reach the centre
+    values = qs * (1 + ell % 2)  # Q_(k+1) over one value period
+    hits = []
+    for N in targets:
+        n = abs(N)
+        hits.append([k for k in range(1 if N > 0 else 0, len(values), 2) if values[k] == n])
+    if any(hits):
+        pairs = [(1, 0), *islice(_convergent_pairs(a0, period), half)]
+        u, v, _ = _centre_unit(m, 1, qs, pairs)
+    certs = []
+    for N, ks in zip(targets, hits):
+        found: list[tuple[int, int]] = []
+        for k in ks:
+            j = k - ell if k >= ell else k
+            if j < half:
+                x, y = pairs[j + 1]
+            else:
+                g, b = pairs[ell - 1 - j]
+                x, y = abs(u * g - m * v * b), abs(v * g - u * b)
+            if k >= ell:
+                x, y = u * x + m * v * y, v * x + u * y
+            found.append((x, y))
+        certs.append(PellCertificate(m, N, tuple(found), 2 * ell, "convergents"))
+    return tuple(certs)
 
 
 def _least_positive_member(x: int, y: int, m: int, N: int, u: int, v: int) -> tuple[int, int]:
@@ -329,5 +367,5 @@ def solve_pm_N(m: int, N: int) -> PellCertificate:
     if N == 0:
         raise ValueError("solve_pm_N: N must be nonzero")
     if N * N < m:
-        return _solve_by_convergents(m, N)
+        return _solve_by_convergents(m, N)[0]
     return _solve_by_lmm(m, N)

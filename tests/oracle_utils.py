@@ -69,6 +69,46 @@ def surd_expansion(m: int) -> tuple[int, list[tuple[int, int]]]:
     return ell, convs
 
 
+def reference_pqa_period(m: int, p0: int = 0, q0: int = 1) -> tuple[int, list[int], list[int]]:
+    """(a_0, [a_1, ..., a_l], [Q_1, ..., Q_l]) of (p0 + sqrt(m))/q0 by the
+    SurdState stepper, for a start whose first successor is reduced
+    ((0, 1), and (1, 2) for odd m): every step up to the first return of
+    that successor.  Shares no code with pellkit.cfrac."""
+    a0, state = SurdState(p0, q0, m).step()
+    first, quotients, qs = state, [], []
+    while True:
+        qs.append(state.Q)
+        a, state = state.step()
+        quotients.append(a)
+        if state == first:
+            return a0, quotients, qs
+
+
+def reference_least_unit(m: int, p0: int = 0, q0: int = 1) -> tuple[int, int, int]:
+    """(G_i, B_i, (-1)^(i+1)) at the first return of Q to q0, i = qs.index(q0),
+    read sequentially over the reference_pqa_period expansion: every pair
+    from index 0 to i, G_k = a_k*G_(k-1) + G_(k-2) from G_-2 = -p0,
+    G_-1 = q0, and B_k likewise from B_-2 = 1, B_-1 = 0."""
+    a0, quotients, qs = reference_pqa_period(m, p0, q0)
+    i = qs.index(q0)
+    g_prev, g, b_prev, b = -p0, q0, 1, 0
+    for a in [a0, *quotients[:i]]:
+        g_prev, g = g, a * g + g_prev
+        b_prev, b = b, a * b + b_prev
+    return g, b, 1 if i % 2 else -1
+
+
+def reference_convergent_scan(m: int, N: int) -> PellCertificate:
+    """Certificate of x^2 - m*y^2 = N for N^2 < m by the full-span scan: every
+    convergent p_k/q_k of sqrt(m) for k below the value period (l for even
+    l, 2l for odd l), from surd_expansion, kept where p_k^2 - m*q_k^2 = N.
+    The certificate records the classical 2l."""
+    ell, convs = surd_expansion(m)
+    span = ell if ell % 2 == 0 else 2 * ell
+    found = [(p, q) for p, q in convs[:span] if p * p - m * q * q == N]
+    return PellCertificate(m, N, tuple(found), 2 * ell, "convergents")
+
+
 def period_length(m: int) -> int:
     """Length of the minimal period of the continued fraction of sqrt(m)."""
     return cf_sqrt(m).period_length

@@ -4,9 +4,9 @@ from itertools import islice
 import pytest
 
 from pellkit import cf_sqrt, gcd, isqrt
-from pellkit.cfrac import _convergent_pairs
+from pellkit.cfrac import _convergent_pairs, _pqa_period
 
-from oracle_utils import SurdState, period_length
+from oracle_utils import SurdState, period_length, reference_pqa_period
 
 
 def test_cf_sqrt_examples():
@@ -98,6 +98,18 @@ def _state_sequence(m, count):
         out.append((state.P, state.Q))
         _, state = state.step()
     return out
+
+
+def test_the_mirrored_half_period_matches_the_reference_stepper():
+    # _pqa_period stops at the centre of the palindrome and mirrors the rest:
+    # at sqrt(m) for every nonsquare m < 20000, and at (1 + sqrt(m))/2 for
+    # every odd one, it must equal every step of the SurdState stepper
+    for m in range(2, 20000):
+        if isqrt(m)[1]:
+            continue
+        assert _pqa_period(m) == reference_pqa_period(m), m
+        if m % 2:
+            assert _pqa_period(m, 1, 2) == reference_pqa_period(m, 1, 2), m
 
 
 def test_period_is_minimal():

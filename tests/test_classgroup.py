@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pellkit import (ClassData, class_number, discriminant_of,
+from pellkit import (ClassData, class_number, discriminant_of, factorize,
                      is_fundamental_discriminant, isqrt, narrow_class_number,
                      squarefree_core, unit_norm)
 from pellkit.classgroup import (_class_number, _reduced_triples, _residue_sieve,
@@ -529,3 +529,17 @@ def test_narrow_wide_relation_small_sweep():
         assert data.h_narrow == reference_narrow_class_number(discriminant_of(m))
         factor = 2 if data.unit_norm == 1 else 1
         assert data.h_narrow == factor * data.h_wide
+
+
+def test_two_to_the_genus_rank_divides_every_narrow_class_number():
+    # Gauss's genus theory: the narrow class group of D has 2-rank t - 1, t
+    # the number of primes dividing D, so 2^(t-1) divides the walk count.  A
+    # sieve row wrongly zeroed leaves an orbit unwalked and breaks this.
+    checked = 0
+    for m in range(2, 20000):
+        if not squarefree_core(m)[1]:
+            continue
+        t = len(factorize(discriminant_of(m)).factors)
+        assert _class_number(m).h_narrow % 2 ** (t - 1) == 0, m
+        checked += 1
+    assert checked == 12159

@@ -241,9 +241,9 @@ def test_verify_exception_row_present(capsys):
     assert len(exception_rows) == 1 and ",7," in exception_rows[0]
 
 
-def test_verify_expands_each_period_once_per_solve(capsys, monkeypatch):
-    # 140 members, 109 of them square-free: solve_pm_N expands sqrt(m) for
-    # +p and for -p, and the class number reads the unit norm off its walks
+def test_verify_expands_each_period_once_per_member(capsys, monkeypatch):
+    # 140 members, 109 of them square-free: one expansion of sqrt(m) decides
+    # +p and -p, and the class number reads the unit norm off its walks
     import pellkit.cfrac
     import pellkit.pell
     calls = []
@@ -254,7 +254,7 @@ def test_verify_expands_each_period_once_per_solve(capsys, monkeypatch):
         monkeypatch.setattr(module, "_pqa_period", counting)
     rc, _, _ = run_cli(capsys, "verify", "F3", "--pmax", "50", "--nmax", "10")
     assert rc == 0
-    assert len(calls) == 280
+    assert len(calls) == 140
 
 
 def test_tables_exit_codes_follow_the_audit(capsys):

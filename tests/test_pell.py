@@ -9,10 +9,11 @@ from pellkit import (QuadraticInteger, brute_force_solve, fundamental_unit,
                      gcd, isqrt, neg_pell, pell_fundamental, rd_unit,
                      solve_pm_N, squarefree_core, unit_norm)
 from pellkit.cfrac import _pqa_period
-from pellkit.pell import PellCertificate
+from pellkit.pell import PellCertificate, _least_unit, _solve_by_convergents
 
 from oracle_utils import (_same_class, _unit_times, orbit_closure, period_length,
                           primitive_brute_force, reference_bounded_search,
+                          reference_convergent_scan, reference_least_unit,
                           reference_pqa_to_unit, surd_expansion)
 
 BF_Y_MAX = 2000  # the brute-force cap of acceptance criterion 7
@@ -327,6 +328,30 @@ def test_a_broken_unit_read_raises(monkeypatch, capsys, m, breakage, message):
     assert main(["unit", str(m)]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("pellkit: ") and err.count("\n") == 1
+
+
+def test_the_centre_unit_read_matches_the_sequential_read():
+    # both starts: sqrt(m) for every nonsquare m < 5000, (1 + sqrt(m))/2 for
+    # every odd one; the reference builds every pair up to qs.index(q0)
+    for m in range(2, 5000):
+        if isqrt(m)[1]:
+            continue
+        assert _least_unit(m) == reference_least_unit(m), m
+        if m % 2:
+            assert _least_unit(m, 1, 2) == reference_least_unit(m, 1, 2), m
+
+
+def test_the_half_period_scan_matches_the_full_span_scan():
+    # every nonsquare m < 1500 and every N with N^2 < m, one target at a time
+    # and all of them off one expansion
+    for m in range(2, 1500):
+        root, square = isqrt(m)
+        if square:
+            continue
+        targets = [N for N in range(-root, root + 1) if N]
+        reference = tuple(reference_convergent_scan(m, N) for N in targets)
+        assert _solve_by_convergents(m, *targets) == reference, m
+        assert tuple(solve_pm_N(m, N) for N in targets) == reference, m
 
 
 def test_lmm_matches_bounded_search():
