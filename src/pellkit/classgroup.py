@@ -20,12 +20,11 @@ sigma: (L, b, C) -> (-L, b, -C) commutes with the rho step, so it maps
 cycles onto cycles, and its orbits are the wide classes (Buchmann and
 Vollmer, Binary Quadratic Forms (2007), ch. 6; Cohen, A Course in
 Computational Algebraic Number Theory (1993), 5.6).  With a unit of norm
--1 every cycle is its own mirror; with norm +1 none is.  So each sigma-orbit
-is walked once, over half of its reduced forms, and h_wide is the number of
-walks: h = h+ when the norm is -1, h+ = 2h when it is +1.  The walks also
-tell which case holds (see below), so the period of sqrt(m) is never
-expanded here.  The walks start only from the seeds, the positive reduced
-forms with a <= _seed_bound(D).
+-1 every cycle is its own mirror; with norm +1 none is.  So h_wide is the
+number of sigma-orbits: h = h+ when the norm is -1, h+ = 2h when it is
++1.  The walks also tell which case holds (see below), so the period of
+sqrt(m) is never expanded here.  The walks start only from the seeds, the
+positive reduced forms with a <= _seed_bound(D).
 Let m(f) be the least |f(x, y)| of a form f of discriminant D over integer
 (x, y) != (0, 0); it is taken at a primitive (x, y).  By Markov's theorem
 (A. Markoff, Math. Ann. 15 (1879) and 17 (1880); Cusick and Flahive, The
@@ -51,17 +50,36 @@ The reduced form (L, b, C) is the surd (b + sqrt(D))/q with q = 2|L|, and
 rho takes it to the form (C, b', *) of the next surd: the state
 (b, q, q') = (b, 2|L|, 2|C|) steps by t = (s + b) // q', b' = t*q' - b and
 (q, q') = (q', q + t*(b - b')), with no division by q and no sign, since
-b^2 + q*q' = D is kept.  A form and its mirror have the same state, so the
-unsigned key q*k + b, k = s + 1, names both; a walk strikes the key of
-every form with q <= 2*_seed_bound(D) that it passes, and it stops at the
-first return of its seed's key.  The sign of L alternates on every step:
-after an even number of steps the walk is back at its seed and the cycle
-is not its own mirror, so the unit norm is +1; after an odd number it has
-reached the seed's mirror, half way round a cycle that is its own mirror,
-and the norm is -1.
+b^2 + q*q' = D is kept.  A form and its mirror have the same state, so
+the states of a sigma-orbit make one cycle, of n states, and the unsigned
+key q*k + b, k = s + 1, names a form and its mirror.  The sign of L
+alternates on every step, so n is odd exactly when the cycle is its own
+mirror, when the unit norm is -1.  A walk strikes the key of every state
+with q <= 2*_seed_bound(D) that it meets.
+
+The reversal R: (L, b, C) -> (C, b, L), on states (b, q, q') ->
+(b, q', q), keeps a form reduced, takes its class to the inverse class and
+reverses the rho step, R rho = rho^-1 R (Buchmann and Vollmer, ch. 6).  So
+it maps the cycle of a wide class onto the cycle of the inverse class, run
+backwards.  The reversal of a state and the next state share q', so a walk
+strikes both with one test of q' against the bound, and each step strikes
+two states.  A walk from a seed ends at the first of two events.  If the
+seed's key returns, after n steps, the class is not its own inverse, and
+the walk has struck the seeds of both: two wide classes.  If not,
+R reflects the cycle onto itself, as it does for the classes of order at
+most 2, the ambiguous classes.  The reflection fixes two points of the
+cycle, each a state with q = q' or a step with b' = b, and the walk meets
+one of them first.  It then restarts at the reversal of its seed and runs
+forward to the other, so it strikes the cycle in about n/2 steps.  The
+points are of different kinds exactly when n is odd, when the norm is -1.
+Either way a wide class costs about n/2 steps, half of a walk round its
+cycle.  By genus theory the ambiguous classes are 2^r, r the 2-rank of
+the wide class group, so their count is a power of 2 that divides h_wide
+(Buchmann and Vollmer, ch. 6; r = t - 1 or t - 2 for the t primes
+dividing D, t - 2 when one of them is 3 mod 4).
 
 The seeds are enumerated in order of a, and the enumeration stops as soon
-as every seed is struck, since every sigma-orbit has then been walked.
+as every seed is struck, since every sigma-orbit has then been struck.
 That needs the exact number of seeds up front.  Let rho(a) be the number
 of root classes modulo 2a of x^2 = D (mod 4a).  For a <= s/2, s = isqrt(D),
 the window (s - 2a, s] is exactly 2a long, so each class meets it once;
@@ -81,10 +99,11 @@ factored or its roots are taken, as each of its seeds would meet a struck
 key; in one audit round that skips about half of the rows the enumeration
 reaches.  Every strike pays for the count, also where it cannot pay back:
 for a large D with small h the enumeration stops after a row or two, and
-at the limit the count is about a fifth of the time.  A key struck twice,
+at the limit the count is about a tenth of the time.  A key struck twice,
 walks that disagree on the unit norm, seeds still owed once the
-enumeration runs out, or a row owed more or fewer strikes than it got once
-S is used up raise ArithmeticError instead of giving a wrong count.
+enumeration runs out, a row owed more or fewer strikes than it got once S
+is used up, or an ambiguous count that is no power of 2 dividing h_wide
+raise ArithmeticError instead of giving a wrong count.
 
 All sqrt(D) comparisons are done on squares in integer arithmetic: a float
 at the reduction-window boundary can silently merge or split cycles.
@@ -103,7 +122,7 @@ from .intkit import _sqrt_mod_prime_power, isqrt, squarefree_core
 # Largest isqrt(D) whose class number is computed.  The sieve holds
 # _seed_bound(D) entries, isqrt(D // 9) for all but a few D, and the struck
 # seeds grow with it: at the limit (D near 4*10^12) a class number took
-# 0.7-1.4 s and 105 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
+# 0.7-0.9 s and 101 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
 # and anything larger is refused before either is allocated.
 MAX_ROOT_D = 2_000_000
 
@@ -269,10 +288,11 @@ class ClassData:
 def class_number(m: int) -> ClassData:
     """Exact class data of Q(sqrt(m)) for square-free m >= 2.
 
-    h_wide is the number of sigma-orbits of the rho-cycles, one walk each;
-    h_narrow doubles it exactly when the fundamental unit has norm +1, since
-    then no cycle is its own mirror.  That norm is read off the walks: a
-    walk that ends at the mirror of its seed took an odd number of steps.
+    h_wide is the number of sigma-orbits of the rho-cycles; a walk covers
+    an orbit and the orbit of the inverse class.  h_narrow doubles h_wide
+    exactly when the fundamental unit has norm +1, since then no cycle is
+    its own mirror.  That norm is read off the walks: it is -1 when an
+    orbit's cycle of states has odd length.
     m is factorized once, here; _class_number and the helpers below trust
     it.
     """
@@ -285,23 +305,29 @@ def class_number(m: int) -> ClassData:
 def _class_number(m: int) -> ClassData:
     # m is square-free and >= 2: callers that hold m from squarefree_core
     # come here directly instead of factorizing it again.
-    #
+    return _class_walks(m)[0]
+
+
+def _class_walks(m: int) -> tuple[ClassData, int]:
+    """The class data of Q(sqrt(m)), m square-free and >= 2, and the number
+    2^r of its ambiguous wide classes, those of order at most 2."""
     # A reduced form (L, b, C) is the PQa state (b, q, q_next) =
     # (b, 2|L|, 2|C|), and its unsigned key is q*k + b, k = s + 1, which
     # its mirror shares.  The seeds are the positive forms with
-    # L <= A = _seed_bound(D), taken in order of L.  A walk starts at a seed
-    # whose key is not struck, strikes the key of every form with q <= 2A
-    # that it passes, and stops at the first return of its seed's key: after
-    # an odd number n of steps at the mirror (norm -1), after an even n at
-    # the seed itself (norm +1).  The sieve's left[a] = rho(a) are the
-    # seeds owed at each row a.  Each strike counts one off their sum and
-    # one off left[q/2]; the enumeration skips the rows with none owed and
-    # stops when no seed is left.  A seed with b^2 + 4ac != D, a key struck
-    # twice (as by a walk that never meets its seed's key again and goes
-    # round its cycle a second time), walks whose n differ in parity, seeds
-    # still owed when the enumeration runs out, and rows still owed or
-    # overstruck when it stops mean a wrong seed, count or walk; each raises
-    # instead of looping or miscounting.
+    # L <= A = _seed_bound(D), taken in order of L.  From each seed whose
+    # key is not struck, _walk strikes the keys with q <= 2A of its
+    # sigma-orbit and of the inverse orbit, and says whether the two are one
+    # (an ambiguous class, one wide class) or two, and the unit norm.  The
+    # sieve's left[a] = rho(a) are the seeds owed at each row a.  Each
+    # strike counts one off their sum and one off left[q/2]; the
+    # enumeration skips the rows with none owed and stops when no seed is
+    # left.  A seed with b^2 + 4ac != D, a key struck twice (as by a walk
+    # from a state outside the reduction window, which never meets its
+    # seed's key or a symmetry point where it should), walks that disagree
+    # on the norm, seeds still owed when the enumeration runs out, rows
+    # still owed or overstruck when it stops, and an ambiguous count that
+    # is no power of 2 dividing h_wide mean a wrong seed, count or walk;
+    # each raises instead of looping or miscounting.
     D = _discriminant_of(m)
     s = isqrt(D)[0]
     if s > MAX_ROOT_D:
@@ -312,36 +338,21 @@ def _class_number(m: int) -> ClassData:
     spf, left, roots = _residue_sieve(D, A)
     seeds = sum(left)
     struck = set()
-    norm = walks = 0
+    norm = walks = ambiguous = 0
     for a, b, c in _reduced_triples(D, s, spf, left, roots):
-        start = 2 * a * k + b
-        if start in struck:
+        if 2 * a * k + b in struck:
             continue
         if b * b + 4 * a * c != D:
             raise ArithmeticError(f"class_number: the seed ({a}, {b}, {c}) is "
                                   f"not of discriminant {D}")
-        struck.add(start)
-        q, q_next = 2 * a, 2 * c
-        left[a] -= 1
-        for walk_norm in cycle((-1, 1)):  # -1 after an odd number of steps
-            t = (s + b) // q_next
-            b, b_prev = t * q_next - b, b
-            q, q_next = q_next, q + t * (b_prev - b)
-            if q <= top:
-                key = q * k + b
-                if key == start:
-                    break
-                if key in struck:
-                    raise ArithmeticError("class_number: a walk struck a key "
-                                          "twice")
-                struck.add(key)
-                left[q >> 1] -= 1
+        walk_norm, own_inverse = _walk(s, k, top, struck, left, b, 2 * a, 2 * c)
         if walk_norm != norm:
             if norm:
                 raise ArithmeticError("class_number: the walks disagree on "
                                       "the unit norm")
             norm = walk_norm
-        walks += 1
+        walks += 1 if own_inverse else 2
+        ambiguous += own_inverse
         if len(struck) == seeds:
             break
     else:
@@ -350,4 +361,54 @@ def _class_number(m: int) -> ClassData:
     if any(left):
         raise ArithmeticError("class_number: the walks struck a row's seeds "
                               "more or fewer times than the row has")
-    return ClassData(m, D, walks if norm == -1 else 2 * walks, walks, norm)
+    if ambiguous < 1 or ambiguous & (ambiguous - 1) or walks % ambiguous:
+        raise ArithmeticError(f"class_number: {ambiguous} of the {walks} wide "
+                              f"classes are ambiguous, not a power of 2 "
+                              f"dividing {walks}")
+    return ClassData(m, D, walks if norm == -1 else 2 * walks, walks, norm), ambiguous
+
+
+def _walk(s: int, k: int, top: int, struck: set[int], left: list[int],
+          b: int, q: int, q_next: int) -> tuple[int, bool]:
+    """(unit norm, ambiguous) from the walk of the seed (b, q, q_next) of
+    _class_walks, which strikes the keys of its sigma-orbit and of the
+    inverse orbit into struck and counts them off left."""
+    # The reversal (b, q, q') -> (b, q', q) of each state and the next state
+    # share q', so each step strikes both under one test of q' <= top; at a
+    # step with b' = b they are one state.  The seed's key is struck when a
+    # step reaches it or leaves its reversal.  If the seed's key returns,
+    # after n steps, the cycle is not its own reversal: two wide classes,
+    # and the norm is -1 when n is odd.  A state with q = q' or a step with
+    # b' = b is a symmetry point of a cycle that is its own reversal.  At
+    # the first, the walk restarts at the seed's reversal, whose reversal is
+    # the seed, and runs forward to the second; the norm is -1 when the two
+    # points are of different kinds.  A seed with q = q' is the first point
+    # itself and its own reversal.
+    start = q * k + b
+    restart = b, q_next, q
+    turns = [False] if q == q_next else []  # True at a step with b' = b
+    for walk_norm in cycle((-1, 1)):  # -1 after an odd number of steps
+        t = (s + b) // q_next
+        b, b_prev = t * q_next - b, b
+        q, q_next = q_next, q + t * (b_prev - b)
+        if q <= top:
+            key = q * k + b
+            if key in struck:
+                raise ArithmeticError("class_number: a walk struck a key twice")
+            struck.add(key)
+            if b == b_prev:
+                left[q >> 1] -= 1
+            else:
+                reversal = key + b_prev - b
+                if reversal in struck:
+                    raise ArithmeticError("class_number: a walk struck a key "
+                                          "twice")
+                struck.add(reversal)
+                left[q >> 1] -= 2
+                if key == start:
+                    return walk_norm, False
+        if b == b_prev or q == q_next:
+            turns.append(b == b_prev)
+            if len(turns) == 2:
+                return -1 if turns[0] != turns[1] else 1, True
+            b, q, q_next = restart

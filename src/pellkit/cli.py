@@ -196,8 +196,9 @@ def _cmd_verify(args, fmt: str) -> int:
                           allow_n0=args.allow_n0)
     rows = []
     upheld = exceptions = violations = class_skipped = 0
+    class_numbers = {}  # m -> h_wide for this run only: m repeats across (p, n)
     for member in members:
-        report = verify_member(member)
+        report = verify_member(member, class_numbers)
         if report.theorem_upheld:
             upheld += 1
             if report.is_exception:

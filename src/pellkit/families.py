@@ -143,11 +143,15 @@ def gen_members(family: str, p_max: int, n_max: int,
     return members
 
 
-def verify_member(member: FamilyMember) -> VerificationReport:
+def verify_member(member: FamilyMember,
+                  class_numbers: dict[int, int] | None = None) -> VerificationReport:
     """Decide x^2 - m y^2 = +p and = -p for the member and evaluate whether
     the family's non-solvability claim holds (the F4 d = 3 member must show
     exactly the two exceptional -3 solutions).  For square-free m the class
-    number is computed as well; otherwise the class fields stay None."""
+    number is computed as well; otherwise the class fields stay None.
+    class_numbers, if given, maps each m already verified to its h_wide and
+    gains this member's, so that a caller verifying many members, whose m
+    repeat across (p, n), computes each class number once."""
     m, p = member.m, member.p
     if isqrt(m)[1]:
         raise ValueError("verify_member: m is a perfect square")
@@ -166,7 +170,10 @@ def verify_member(member: FamilyMember) -> VerificationReport:
     conclusion = None
     if member.m_is_squarefree:
         # gen_members factorized m for the flag; do not factorize it again
-        h_wide = _class_number(m).h_wide
+        known = {} if class_numbers is None else class_numbers
+        if m not in known:
+            known[m] = _class_number(m).h_wide
+        h_wide = known[m]
         conclusion = h_wide > 1
     return VerificationReport(member, cert_plus, cert_minus, upheld, h_wide, conclusion)
 

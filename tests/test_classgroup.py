@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from pellkit import (ClassData, class_number, discriminant_of, factorize,
                      is_fundamental_discriminant, isqrt, narrow_class_number,
                      squarefree_core, unit_norm)
-from pellkit.classgroup import (_class_number, _reduced_triples, _residue_sieve,
-                                _seed_bound)
+from pellkit.classgroup import (_class_number, _class_walks, _reduced_triples,
+                                _residue_sieve, _seed_bound)
 from oracle_utils import (analytic_class_number, reference_narrow_class_number,
                           reference_reduced_forms, reference_rho_cycles)
 
@@ -157,21 +157,24 @@ def test_a_bad_seed_raises_instead_of_looping(m, seed, match, monkeypatch):
         class_number(m)
 
 
-@pytest.mark.parametrize("m", [10, 399])
+@pytest.mark.parametrize("m", [10, 399, 79, 229])
 def test_walks_that_disagree_on_the_unit_norm_raise(m, monkeypatch):
-    # the second walk counts its steps from the other parity, so it reads
-    # the other norm off the same cycle
+    # the second walk reads the other norm off its cycle; it walks an
+    # ambiguous class at m = 10 (norm -1) and 399 (norm +1), and a class
+    # and its inverse at 79 (norm +1) and 229 (norm -1)
     import pellkit.classgroup
-    real = pellkit.classgroup.cycle
+    real = pellkit.classgroup._walk
     walks = []
 
-    def flipped(parities):
-        walks.append(parities)
-        return real(parities if len(walks) == 1 else parities[::-1])
-    monkeypatch.setattr(pellkit.classgroup, "cycle", flipped)
+    def flipped(*args):
+        walk_norm, own_inverse = real(*args)
+        walks.append(own_inverse)
+        return walk_norm if len(walks) == 1 else -walk_norm, own_inverse
+    monkeypatch.setattr(pellkit.classgroup, "_walk", flipped)
     with _arithmetic_error_within_5_s(m, "disagree on the unit norm"):
         _class_number(m)
     assert len(walks) == 2
+    assert walks[1] == (m in (10, 399))
 
 
 def test_a_row_that_doubles_eight_times_keeps_its_triples():
@@ -383,6 +386,26 @@ def test_a_forged_row_count_raises(m, monkeypatch):
             _class_number(m)
 
 
+def test_a_zeroed_row_of_one_seed_raises(monkeypatch):
+    # row 1 has the one seed of the principal class, an ambiguous class;
+    # forged rootless, it leaves that orbit unwalked and both the seed count
+    # and the row counts right, and h_narrow would read 126.  The 31
+    # ambiguous classes left are no power of 2, and raise
+    import pellkit.classgroup
+    real = pellkit.classgroup._residue_sieve
+
+    def forged(D, amax):
+        spf, seeds, roots = real(D, amax)
+        assert seeds[1] == 1, D
+        seeds[1] = 0
+        return spf, seeds, roots
+    assert _class_walks(4849845) == (ClassData(4849845, 4849845, 128, 64, 1), 32)
+    monkeypatch.setattr(pellkit.classgroup, "_residue_sieve", forged)
+    with _arithmetic_error_within_5_s(4849845, "31 of the 63 wide classes are "
+                                               "ambiguous"):
+        _class_number(4849845)
+
+
 def test_class_data_matches_the_digest_of_every_m_below_30000():
     # D up to 120000, beyond the full enumerations above; the digest was
     # taken from the walk over every seed with a <= _seed_bound(D)
@@ -541,5 +564,21 @@ def test_two_to_the_genus_rank_divides_every_narrow_class_number():
             continue
         t = len(factorize(discriminant_of(m)).factors)
         assert _class_number(m).h_narrow % 2 ** (t - 1) == 0, m
+        checked += 1
+    assert checked == 12159
+
+
+def test_the_ambiguous_classes_are_two_to_the_wide_genus_rank():
+    # the wide class group has 2-rank r = t - 1, or t - 2 when a prime
+    # = 3 (mod 4) divides D, so its 2^r classes of order at most 2 are the
+    # walks that are their own reversal, and 2^r divides h_wide
+    checked = 0
+    for m in range(2, 20000):
+        if not squarefree_core(m)[1]:
+            continue
+        primes = [p for p, _ in factorize(discriminant_of(m)).factors]
+        r = len(primes) - (2 if any(p % 4 == 3 for p in primes) else 1)
+        data, ambiguous = _class_walks(m)
+        assert ambiguous == 2 ** r and data.h_wide % ambiguous == 0, m
         checked += 1
     assert checked == 12159

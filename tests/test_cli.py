@@ -257,6 +257,29 @@ def test_verify_expands_each_period_once_per_member(capsys, monkeypatch):
     assert len(calls) == 140
 
 
+def test_verify_computes_each_class_number_once_per_run(capsys, monkeypatch):
+    # d = (2n+1)p repeats across (p, n): F3 at these bounds has 109
+    # square-free members but 91 distinct m.  A second run computes them
+    # all again, so nothing outlives the call
+    import pellkit.families
+    real = pellkit.families._class_number
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+    monkeypatch.setattr(pellkit.families, "_class_number", counting)
+    argv = ("verify", "F3", "--pmax", "50", "--nmax", "10", "--format", "json")
+    rc, first, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert len(calls) == len(set(calls)) == 91
+    rows = json.loads(first)["rows"]
+    assert sum(row["h"] is not None for row in rows) == 109
+    assert all(row["h"] == real(row["m"]).h_wide for row in rows if row["h"])
+    rc, second, _ = run_cli(capsys, *argv)
+    assert second == first and len(calls) == 2 * 91
+
+
 def test_tables_exit_codes_follow_the_audit(capsys):
     for t in (1, 2, 3, 4):
         rows = reproduce_table(t)

@@ -1,6 +1,7 @@
 """Same-process A/B timer for two versions of pellkit's classgroup.py.
 
     python3 tools/ab_class_number.py BASE [HEAD] [--rounds 15] [--seeds 1 2 3]
+                                     [--large]
 
 BASE and HEAD are each a path to a classgroup.py or a git revision, read as
 REV:src/pellkit/classgroup.py; HEAD defaults to the working tree's file.
@@ -12,7 +13,9 @@ alternating which version goes first:
 * audit: every m the benchmark's audit workload (tables 1-4, verify F1-F4
   at --pmax 50 --nmax 10) passes to _class_number, in call order;
 * classno: the square-free cores of the benchmark's classno ops for the
-  given seeds.
+  given seeds;
+* large, with --large only: m = 10**12 + 39, next to the enumeration limit
+  (isqrt(D) = 2*10^6), and m = 10**11 + 3: about 2 s a round for both
 
 Both versions must return the same class data for every m.  Prints, per
 list, the median HEAD/BASE time ratio and its interquartile range over the
@@ -42,6 +45,7 @@ from pellkit import squarefree_core  # noqa: E402
 from workloads import Workload, audit_ops  # noqa: E402
 
 RELATIVE = "src/pellkit/classgroup.py"
+LARGE = [10**12 + 39, 10**11 + 3]
 
 
 def load(spec: str, name: str):
@@ -101,9 +105,13 @@ def main() -> None:
     parser.add_argument("head", nargs="?", default=str(ROOT / RELATIVE))
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--large", action="store_true",
+                        help="also time the limit case")
     args = parser.parse_args()
     versions = (load(args.base, "base"), load(args.head, "head"))
     lists = {"audit": audit_ms(), "classno": classno_ms(args.seeds)}
+    if args.large:
+        lists["large"] = LARGE
     ratios = {name: [] for name in lists}
     for name, ms in lists.items():  # warm up and check once
         base, head = (run(v, ms)[1] for v in versions)
