@@ -16,29 +16,26 @@ which also builds the units and the LMM solutions of `pell`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from itertools import chain, cycle
-from typing import Iterator, Sequence
 
+from ._records import record
 from .intkit import isqrt
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(record("CFExpansion", "m a0 period period_length")):
     """sqrt(m) = [a0; period repeating], with the minimal period."""
 
-    m: int
-    a0: int
-    period: tuple[int, ...]
-    period_length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.period or self.period_length != len(self.period):
+    def __new__(cls, m: int, a0: int, period: tuple[int, ...], period_length: int):
+        if not period or period_length != len(period):
             raise ValueError("CFExpansion: period_length must match the period")
-        if self.a0 != isqrt(self.m)[0]:
+        if a0 != isqrt(m)[0]:
             raise ValueError("CFExpansion: a0 must be floor(sqrt(m))")
-        if self.period[-1] != 2 * self.a0:
+        if period[-1] != 2 * a0:
             raise ValueError("CFExpansion: period must end with 2*a0")
+        return super().__new__(cls, m, a0, period, period_length)
 
 
 def _pqa_period(m: int, p0: int = 0, q0: int = 1) -> tuple[int, list[int], list[int]]:

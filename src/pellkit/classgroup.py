@@ -111,12 +111,12 @@ at the reduction-window boundary can silently merge or split cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import chain, compress, cycle
 from math import gcd
 from operator import not_
-from typing import Iterator
 
+from ._records import record
 from .intkit import _sqrt_mod_prime_power, isqrt, squarefree_core
 
 # Largest isqrt(D) whose class number is computed.  The sieve holds
@@ -266,23 +266,19 @@ def discriminant_of(m: int) -> int:
     return _discriminant_of(m)
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(record("ClassData", "m D h_narrow h_wide unit_norm")):
     """Narrow and wide class numbers of Q(sqrt(m)) with the unit-norm
     correction tying them together."""
 
-    m: int
-    D: int
-    h_narrow: int
-    h_wide: int
-    unit_norm: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.unit_norm not in (1, -1):
+    def __new__(cls, m: int, D: int, h_narrow: int, h_wide: int, unit_norm: int):
+        if unit_norm not in (1, -1):
             raise ValueError("ClassData: unit_norm must be +-1")
-        expected = self.h_wide * (2 if self.unit_norm == 1 else 1)
-        if self.h_wide < 1 or expected != self.h_narrow:
+        expected = h_wide * (2 if unit_norm == 1 else 1)
+        if h_wide < 1 or expected != h_narrow:
             raise ValueError("ClassData: narrow/wide relation violated")
+        return super().__new__(cls, m, D, h_narrow, h_wide, unit_norm)
 
 
 def class_number(m: int) -> ClassData:

@@ -23,13 +23,12 @@ exceptional member m = 7, whose -3 equation has exactly the solutions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._records import record
 from .classgroup import _class_number, class_number
 from .intkit import is_prime, isqrt, squarefree_core
 from .published_tables import TABLE_FAMILY, TABLES
-from .pell import (D2MINUS1, D2MINUS2, D2PLUS2, D2PLUS3, PellCertificate,
-                   _solve_by_convergents, solve_pm_N)
+from .pell import (D2MINUS1, D2MINUS2, D2PLUS2, D2PLUS3, _solve_by_convergents,
+                   solve_pm_N)
 
 FAMILY_IDS = ("F1", "F2", "F3", "F4")
 
@@ -38,14 +37,12 @@ EXCEPTIONAL_SOLUTIONS = ((2, 1), (5, 2))  # x^2 - 7 y^2 = -3, the F4 d=3 member
 _PHI_AT_MOST_4 = frozenset({1, 2, 3, 4, 5, 6, 8, 10, 12})  # all n >= 1 with phi(n) <= 4
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    id: str
-    rd_family: str
-    r: int             # m = d^2 + r
-    odd_d: bool        # d = (2n+1)p (F3/F4) vs d = 2np (F1/F2)
-    n_multiple_of_3: bool
-    congruence_desc: str
+class FamilySpec(record("FamilySpec",
+                        "id rd_family r odd_d n_multiple_of_3 congruence_desc")):
+    """Family `id`: m = d^2 + r with d = (2n+1)p when odd_d (F3/F4), else
+    d = 2np (F1/F2); rd_family names its unit family in pell."""
+
+    __slots__ = ()
 
     def d_of(self, p: int, n: int) -> int:
         return (2 * n + 1) * p if self.odd_d else 2 * n * p
@@ -79,27 +76,17 @@ def family_spec(family: str) -> FamilySpec:
         raise ValueError(f"unknown family {family!r} (expected one of {FAMILY_IDS})")
 
 
-@dataclass(frozen=True)
-class FamilyMember:
-    family: str
-    p: int
-    n: int
-    d: int
-    m: int
-    p_is_prime: bool
-    m_is_squarefree: bool
-    congruence_ok: bool
-    phi_gt_4: bool
+class FamilyMember(record("FamilyMember", "family p n d m p_is_prime m_is_squarefree "
+                                          "congruence_ok phi_gt_4")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    member: FamilyMember
-    cert_plus: PellCertificate
-    cert_minus: PellCertificate
-    theorem_upheld: bool
-    h_wide: int | None          # None when m is not square-free
-    class_conclusion: bool | None
+class VerificationReport(record("VerificationReport", "member cert_plus cert_minus "
+                                "theorem_upheld h_wide class_conclusion")):
+    """The two PellCertificates of a FamilyMember and the verdict; h_wide
+    and class_conclusion are None when m is not square-free."""
+
+    __slots__ = ()
 
     @property
     def is_exception(self) -> bool:
@@ -195,36 +182,27 @@ def class_conclusion(m: int) -> tuple[bool, bool]:
     return h_gt_1, h_gt_1 and check_yamaguchi_hypothesis(m)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(record("TableRow", "table p n m_printed m_recomputed match_m h_printed "
+                    "h_computed h_printed_m core m_is_squarefree starred match_h")):
     """One audited row of a published table.
 
     h_computed always belongs to the recomputed m (through its square-free
     core); when the printed m disagrees with the formula the row is a
     suspected transcription error, match_h is withheld, and h_printed_m
     carries the class number of the printed value so both candidates can be
-    compared against the printed h."""
+    compared against the printed h (None when the printed m agrees)."""
 
-    table: int
-    p: int
-    n: int
-    m_printed: int
-    m_recomputed: int
-    match_m: bool
-    h_printed: int
-    h_computed: int
-    h_printed_m: int | None
-    core: int
-    m_is_squarefree: bool
-    starred: bool
-    match_h: bool
+    __slots__ = ()
 
 
-def _h_via_core(m: int) -> tuple[int, int]:
+def _h_via_core(m: int, known: dict[int, tuple[int, int]]) -> tuple[int, int]:
     # every table m is a non-square d^2 + r, so its core is square-free and
-    # >= 2, and m is factorized once
-    core, _ = squarefree_core(m)
-    return _class_number(core).h_wide, core
+    # >= 2; known maps each m seen in this audit to (h_wide, core), so m is
+    # factorized and its class number computed once
+    if m not in known:
+        core, _ = squarefree_core(m)
+        known[m] = _class_number(core).h_wide, core
+    return known[m]
 
 
 def reproduce_table(table_id: int) -> list[TableRow]:
@@ -237,13 +215,14 @@ def reproduce_table(table_id: int) -> list[TableRow]:
         raise ValueError("reproduce_table: table_id must be 1..4")
     spec = family_spec(TABLE_FAMILY[table_id])
     rows = []
+    known = {}  # for this call only: an m can repeat across rows
     for p, n, m_printed, h_printed, starred in TABLES[table_id]:
         m_rec = spec.m_of(p, n)
         match_m = m_rec == m_printed
-        h_rec, core = _h_via_core(m_rec)
+        h_rec, core = _h_via_core(m_rec, known)
         h_pm = None
         if not match_m:
-            h_pm, _ = _h_via_core(m_printed)
+            h_pm, _ = _h_via_core(m_printed, known)
         rows.append(TableRow(
             table=table_id, p=p, n=n,
             m_printed=m_printed, m_recomputed=m_rec, match_m=match_m,

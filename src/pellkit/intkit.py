@@ -17,8 +17,9 @@ classgroup from _sqrt_mod_prime_power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
+
+from ._records import record
 
 # Witness set of Sorenson & Webster: Miller-Rabin with these 12 bases is a
 # deterministic primality test for every n below this bound.
@@ -75,24 +76,23 @@ def _strong_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(record("Factorization", "value factors")):
     """Complete prime factorization of `value` as (prime, exponent) pairs,
     primes strictly increasing."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]):
         recomposed = 1
         prev = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev or e < 1:
                 raise ValueError("Factorization: primes must increase, exponents >= 1")
             prev = p
             recomposed *= p**e
-        if recomposed != self.value:
+        if recomposed != value:
             raise ValueError("Factorization: factors do not recompose value")
+        return super().__new__(cls, value, factors)
 
     def __str__(self):
         if not self.factors:

@@ -26,9 +26,9 @@ fundamental unit.  Every path expands through the one PQa loop,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
+from ._records import record
 from .cfrac import _convergent_pairs, _pqa_period
 from .intkit import _sqrt_mod, isqrt, squarefree_core
 
@@ -40,28 +40,25 @@ D2MINUS2 = "D2MINUS2"  # m = d^2 - 2, odd d
 RD_FAMILIES = (D2MINUS1, D2PLUS3, D2PLUS2, D2MINUS2)
 
 
-@dataclass(frozen=True)
-class QuadraticInteger:
+class QuadraticInteger(record("QuadraticInteger", "a b m denom")):
     """(a + b*sqrt(m)) / denom with denom in {1, 2}; denom 2 requires
     m = 1 (mod 4) and a = b (mod 2), and is kept in lowest terms."""
 
-    a: int
-    b: int
-    m: int
-    denom: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2 or isqrt(self.m)[1]:
+    def __new__(cls, a: int, b: int, m: int, denom: int = 1):
+        if m < 2 or isqrt(m)[1]:
             raise ValueError("QuadraticInteger: m must be a positive nonsquare")
-        if self.denom == 2:
-            if self.m % 4 != 1:
+        if denom == 2:
+            if m % 4 != 1:
                 raise ValueError("QuadraticInteger: denom 2 requires m = 1 (mod 4)")
-            if (self.a - self.b) % 2 != 0:
+            if (a - b) % 2 != 0:
                 raise ValueError("QuadraticInteger: denom 2 requires a = b (mod 2)")
-            if self.a % 2 == 0 and self.b % 2 == 0:
+            if a % 2 == 0 and b % 2 == 0:
                 raise ValueError("QuadraticInteger: not in lowest terms (use make)")
-        elif self.denom != 1:
+        elif denom != 1:
             raise ValueError("QuadraticInteger: denom must be 1 or 2")
+        return super().__new__(cls, a, b, m, denom)
 
     @classmethod
     def make(cls, a: int, b: int, m: int, denom: int = 1) -> "QuadraticInteger":
@@ -87,8 +84,7 @@ class QuadraticInteger:
         return f"({body})/2" if self.denom == 2 else body
 
 
-@dataclass(frozen=True)
-class PellCertificate:
+class PellCertificate(record("PellCertificate", "m target solutions scan_length method")):
     """Outcome of deciding x^2 - m*y^2 = target over coprime positive (x, y).
 
     `solutions` lists one least-positive representative per solution class
@@ -100,18 +96,16 @@ class PellCertificate:
     root search counts as one step, so it stays >= 1 when m has no root.
     """
 
-    m: int
-    target: int
-    solutions: tuple[tuple[int, int], ...]
-    scan_length: int
-    method: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.scan_length < 1:
+    def __new__(cls, m: int, target: int, solutions: tuple[tuple[int, int], ...],
+                scan_length: int, method: str):
+        if scan_length < 1:
             raise ValueError("PellCertificate: scan_length must be >= 1")
-        for x, y in self.solutions:
-            if x * x - self.m * y * y != self.target:
+        for x, y in solutions:
+            if x * x - m * y * y != target:
                 raise ValueError(f"PellCertificate: ({x},{y}) does not solve the equation")
+        return super().__new__(cls, m, target, solutions, scan_length, method)
 
     @property
     def has_solutions(self) -> bool:

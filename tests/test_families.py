@@ -143,6 +143,24 @@ def test_reproduce_table_row_counts():
         reproduce_table(5)
 
 
+def test_reproduce_table_computes_each_class_number_once_per_call(monkeypatch):
+    # tables 1 and 2 repeat an m across rows; a second call computes them
+    # all again, so nothing outlives the call
+    import pellkit.families
+    real = pellkit.families._class_number
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+    monkeypatch.setattr(pellkit.families, "_class_number", counting)
+    for t, distinct in ((1, 24), (2, 31), (3, 33), (4, 33)):
+        first = reproduce_table(t)
+        assert len(calls) == len(set(calls)) == distinct, t
+        assert reproduce_table(t) == first and len(calls) == 2 * distinct, t
+        calls.clear()
+
+
 def test_reproduce_table_matching_row():
     rows = reproduce_table(1)
     row = next(r for r in rows if (r.p, r.n) == (5, 2))

@@ -59,7 +59,9 @@ def load(spec: str, name: str):
     module = importlib.util.module_from_spec(
         importlib.util.spec_from_loader(f"pellkit._ab_{name}", loader=None))
     module.__package__ = "pellkit"
-    sys.modules[module.__name__] = module  # dataclass looks its module up
+    # older revisions build ClassData with @dataclass, which looks its module
+    # up in sys.modules
+    sys.modules[module.__name__] = module
     exec(compile(source, f"{spec} ({name})", "exec"), module.__dict__)
     return module
 
