@@ -20,7 +20,7 @@ from collections.abc import Iterator, Sequence
 from itertools import chain, cycle
 
 from ._records import record
-from .intkit import isqrt
+from .intkit import _require_nonsquare, isqrt
 
 
 class CFExpansion(record("CFExpansion", "m a0 period period_length")):
@@ -112,7 +112,6 @@ def _convergent_pairs(a0: int, period: Sequence[int], p0: int = 0,
 
 def cf_sqrt(m: int) -> CFExpansion:
     """Minimal-period continued fraction of sqrt(m) for nonsquare m >= 2."""
-    if m < 2 or isqrt(m)[1]:
-        raise ValueError(f"cf_sqrt: m must be >= 2 and not a perfect square (got {m})")
+    _require_nonsquare(m, "cf_sqrt")
     a0, period, _ = _pqa_period(m)
     return CFExpansion(m, a0, tuple(period), len(period))

@@ -117,7 +117,7 @@ from math import gcd
 from operator import not_
 
 from ._records import record
-from .intkit import _sqrt_mod_prime_power, isqrt, squarefree_core
+from .intkit import _require_squarefree, _sqrt_mod_prime_power, isqrt, squarefree_core
 
 # Largest isqrt(D) whose class number is computed.  The sieve holds
 # _seed_bound(D) entries, isqrt(D // 9) for all but a few D, and the struck
@@ -261,8 +261,7 @@ def _discriminant_of(m: int) -> int:
 
 def discriminant_of(m: int) -> int:
     """Fundamental discriminant of Q(sqrt(m)): m when m = 1 (mod 4), else 4m."""
-    if m < 2 or not squarefree_core(m)[1]:
-        raise ValueError("discriminant_of: m must be square-free and >= 2")
+    _require_squarefree(m, "discriminant_of")
     return _discriminant_of(m)
 
 
@@ -292,9 +291,7 @@ def class_number(m: int) -> ClassData:
     m is factorized once, here; _class_number and the helpers below trust
     it.
     """
-    if m < 2 or not squarefree_core(m)[1]:
-        raise ValueError("class_number: m must be square-free and >= 2 "
-                         "(pass the square-free core)")
+    _require_squarefree(m, "class_number")
     return _class_number(m)
 
 

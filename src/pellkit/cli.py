@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=_cmd_verify)
 
     sp = sub.add_parser("tables", help="recompute a published table and flag typos")
-    sp.add_argument("table", type=int, choices=(1, 2, 3, 4))
+    sp.add_argument("table", type=int, choices=sorted(TABLES))
     sp.set_defaults(run=_cmd_tables)
 
     # The global flags again after each command's own arguments (so --help

@@ -90,7 +90,11 @@ class VerificationReport(record("VerificationReport", "member cert_plus cert_min
 
     @property
     def is_exception(self) -> bool:
-        return self.member.family == "F4" and self.member.d == 3
+        return _is_exception(self.member)
+
+
+def _is_exception(member: FamilyMember) -> bool:
+    return member.family == "F4" and member.d == 3
 
 
 def gen_members(family: str, p_max: int, n_max: int,
@@ -102,27 +106,23 @@ def gen_members(family: str, p_max: int, n_max: int,
     if p_max < 1 or n_max < 0:
         raise ValueError("gen_members: bounds must be positive")
     spec = family_spec(family)
+    n_step = 3 if spec.n_multiple_of_3 else 1
+    n_start = 0 if allow_n0 and spec.odd_d else n_step
     members = []
-    for p in range(2, p_max + 1):
-        p_is_prime = is_prime(p)
-        if not p_is_prime:
-            continue
-        if spec.odd_d and p == 2:
+    # every d is >= 3, so m = d^2 + r (|r| <= 3) is >= 7 and lies strictly
+    # between (d-1)^2 and (d+1)^2: never a square
+    for p in range(3 if spec.odd_d else 2, p_max + 1):
+        if not is_prime(p):
             continue
         congruence_ok = spec.congruence_ok(p)
         if require_congruence and not congruence_ok:
             continue
-        n_start = 0 if (allow_n0 and spec.odd_d) else 1
-        for n in range(n_start, n_max + 1):
-            if spec.n_multiple_of_3 and n % 3:
-                continue
+        for n in range(n_start, n_max + 1, n_step):
             d = spec.d_of(p, n)
             m = d * d + spec.r
-            if m < 2 or isqrt(m)[1]:
-                continue
             members.append(FamilyMember(
                 family=family, p=p, n=n, d=d, m=m,
-                p_is_prime=p_is_prime,
+                p_is_prime=True,
                 m_is_squarefree=squarefree_core(m)[1],
                 congruence_ok=congruence_ok,
                 phi_gt_4=check_yamaguchi_hypothesis(m),
@@ -148,11 +148,8 @@ def verify_member(member: FamilyMember,
         cert_plus, cert_minus = _solve_by_convergents(m, p, -p)
     else:
         cert_plus, cert_minus = solve_pm_N(m, p), solve_pm_N(m, -p)
-    if member.family == "F4" and member.d == 3:
-        upheld = (not cert_plus.has_solutions
-                  and cert_minus.solutions == EXCEPTIONAL_SOLUTIONS)
-    else:
-        upheld = not cert_plus.has_solutions and not cert_minus.has_solutions
+    minus = EXCEPTIONAL_SOLUTIONS if _is_exception(member) else ()
+    upheld = not cert_plus.has_solutions and cert_minus.solutions == minus
     h_wide = None
     conclusion = None
     if member.m_is_squarefree:

@@ -1,5 +1,6 @@
 """Exact integer primitives: square root, gcd, primality, factorization,
-square-free core, Jacobi symbol, square roots modulo n.
+square-free core, Jacobi symbol, square roots modulo n, and the two checks
+on m (nonsquare, square-free) that pell, cfrac and classgroup share.
 
 Everything is arbitrary-precision and deterministic.  Nothing here returns a
 probabilistic answer: primality uses a fixed Miller-Rabin witness set that is
@@ -205,6 +206,17 @@ def squarefree_core(n: int) -> tuple[int, bool]:
         if e % 2:
             core *= p
     return core, core == n
+
+
+def _require_nonsquare(m: int, who: str) -> None:
+    if m < 2 or isqrt(m)[1]:
+        raise ValueError(f"{who}: m must be >= 2 and not a perfect square (got {m})")
+
+
+def _require_squarefree(m: int, who: str) -> None:
+    if m < 2 or not squarefree_core(m)[1]:
+        raise ValueError(f"{who}: m must be square-free and >= 2 "
+                         "(pass the square-free core)")
 
 
 def jacobi(a: int, n: int) -> int:

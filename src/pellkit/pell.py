@@ -30,14 +30,23 @@ from itertools import islice
 
 from ._records import record
 from .cfrac import _convergent_pairs, _pqa_period
-from .intkit import _sqrt_mod, isqrt, squarefree_core
+from .intkit import _require_nonsquare, _require_squarefree, _sqrt_mod, isqrt
 
-D2MINUS1 = "D2MINUS1"  # m = d^2 - 1, even d
-D2PLUS3 = "D2PLUS3"    # m = d^2 + 3, 3 | d
-D2PLUS2 = "D2PLUS2"    # m = d^2 + 2, odd d
-D2MINUS2 = "D2MINUS2"  # m = d^2 - 2, odd d
+D2MINUS1 = "D2MINUS1"
+D2PLUS3 = "D2PLUS3"
+D2PLUS2 = "D2PLUS2"
+D2MINUS2 = "D2MINUS2"
 
-RD_FAMILIES = (D2MINUS1, D2PLUS3, D2PLUS2, D2MINUS2)
+# family of m = d^2 + r -> (r, d_min, step, rule): rd_unit admits the
+# d >= d_min with d = d_min (mod step)
+_RD_RULES = {
+    D2MINUS1: (-1, 2, 2, "even d >= 2"),
+    D2PLUS3: (3, 3, 3, "d divisible by 3"),
+    D2PLUS2: (2, 3, 2, "odd d >= 3"),
+    D2MINUS2: (-2, 3, 2, "odd d >= 3"),
+}
+
+RD_FAMILIES = tuple(_RD_RULES)
 
 
 class QuadraticInteger(record("QuadraticInteger", "a b m denom")):
@@ -47,8 +56,7 @@ class QuadraticInteger(record("QuadraticInteger", "a b m denom")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, m: int, denom: int = 1):
-        if m < 2 or isqrt(m)[1]:
-            raise ValueError("QuadraticInteger: m must be a positive nonsquare")
+        _require_nonsquare(m, "QuadraticInteger")
         if denom == 2:
             if m % 4 != 1:
                 raise ValueError("QuadraticInteger: denom 2 requires m = 1 (mod 4)")
@@ -110,17 +118,6 @@ class PellCertificate(record("PellCertificate", "m target solutions scan_length 
     @property
     def has_solutions(self) -> bool:
         return bool(self.solutions)
-
-
-def _require_nonsquare(m: int, who: str) -> None:
-    if m < 2 or isqrt(m)[1]:
-        raise ValueError(f"{who}: m must be >= 2 and not a perfect square (got {m})")
-
-
-def _require_squarefree(m: int, who: str) -> None:
-    if m < 2 or not squarefree_core(m)[1]:
-        raise ValueError(f"{who}: m must be square-free and >= 2 "
-                         "(pass the square-free core)")
 
 
 def _least_unit(m: int, p0: int = 0, q0: int = 1) -> tuple[int, int, int]:
@@ -203,30 +200,19 @@ def rd_unit(family: str, d: int) -> QuadraticInteger:
       D2PLUS3  (r = +3, 3 | d):        ((2d^2+3) + 2d*sqrt(m)) / 3, exactly integral
       D2PLUS2  (r = +2, odd d >= 3):   (d^2+1) + d*sqrt(m)
       D2MINUS2 (r = -2, odd d >= 3):   (d^2-1) + d*sqrt(m)
+
+    The last three are Degert's (d + sqrt(m))^2 / |r| (H. Degert, 1958),
+    integral since |r| divides 2d and 2d^2 + r for every admitted d.
     """
-    if family == D2MINUS1:
-        if d < 2 or d % 2:
-            raise ValueError("rd_unit: D2MINUS1 requires even d >= 2")
-        m, a, b = d * d - 1, d, 1
-    elif family == D2PLUS3:
-        if d < 3 or d % 3:
-            raise ValueError("rd_unit: D2PLUS3 requires d divisible by 3")
-        m = d * d + 3
-        num_a, num_b = 2 * d * d + 3, 2 * d
-        if num_a % 3 or num_b % 3:
-            raise ArithmeticError("rd_unit: division by 3 not exact")
-        a, b = num_a // 3, num_b // 3
-    elif family == D2PLUS2:
-        if d < 3 or d % 2 == 0:
-            raise ValueError("rd_unit: D2PLUS2 requires odd d >= 3")
-        m, a, b = d * d + 2, d * d + 1, d
-    elif family == D2MINUS2:
-        if d < 3 or d % 2 == 0:
-            raise ValueError("rd_unit: D2MINUS2 requires odd d >= 3")
-        m, a, b = d * d - 2, d * d - 1, d
-    else:
+    rule = _RD_RULES.get(family)
+    if rule is None:
         raise ValueError(f"rd_unit: unknown family {family!r}")
-    unit = QuadraticInteger(a, b, m)
+    r, d_min, step, text = rule
+    if d < d_min or (d - d_min) % step:
+        raise ValueError(f"rd_unit: {family} requires {text}")
+    k = abs(r)
+    a, b = (d, 1) if k == 1 else ((2 * d * d + r) // k, 2 * d // k)
+    unit = QuadraticInteger(a, b, d * d + r)
     if unit.norm != 1:
         raise ArithmeticError("rd_unit: closed form is not a +1 unit")
     return unit

@@ -62,6 +62,39 @@ def test_gen_members_is_sorted_and_validates():
         gen_members("F1", 0, 2)
 
 
+def _docstring_members(family, p_max, n_max, require_congruence, allow_n0):
+    # the module docstring's definitions, with the congruences of
+    # family_spec's descriptions, enumerated over every p and n
+    primes = [p for p in range(2, p_max + 1) if all(p % q for q in range(2, p))]
+    out = []
+    for p in primes:
+        for n in range(n_max + 1):
+            if family == "F1":
+                d, r, ok, admitted = 2 * n * p, -1, p % 4 == 1, n >= 1
+            elif family == "F2":
+                d, r, ok, admitted = 2 * n * p, 3, p % 2 == 1, n >= 1 and n % 3 == 0
+            elif family == "F3":
+                d, r, ok = (2 * n + 1) * p, 2, p % 8 in (1, 7)
+                admitted = p % 2 == 1 and (n >= 1 or allow_n0)
+            else:
+                d, r, ok = (2 * n + 1) * p, -2, p % 8 in (1, 3) and p != 3
+                admitted = p % 2 == 1 and (n >= 1 or allow_n0)
+            if admitted and (ok or not require_congruence):
+                out.append((p, n, d, d * d + r, ok))
+    return out
+
+
+@pytest.mark.parametrize("allow_n0", [False, True])
+@pytest.mark.parametrize("require_congruence", [False, True])
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_gen_members_matches_the_docstring_definitions(family, require_congruence,
+                                                       allow_n0):
+    members = gen_members(family, 200, 20, require_congruence, allow_n0)
+    assert [(m.p, m.n, m.d, m.m, m.congruence_ok) for m in members] == \
+        _docstring_members(family, 200, 20, require_congruence, allow_n0)
+    assert all(m.family == family and m.p_is_prime for m in members)
+
+
 def test_verify_member_upheld_row():
     report = verify_member(_member("F1", 5, 2))
     assert not report.cert_plus.has_solutions

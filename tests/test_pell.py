@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pellkit import (QuadraticInteger, brute_force_solve, fundamental_unit,
-                     gcd, isqrt, neg_pell, pell_fundamental, rd_unit,
-                     solve_pm_N, squarefree_core, unit_norm)
+from pellkit import (QuadraticInteger, brute_force_solve, family_spec,
+                     fundamental_unit, gcd, isqrt, neg_pell, pell_fundamental,
+                     rd_unit, solve_pm_N, squarefree_core, unit_norm)
 from pellkit.cfrac import _pqa_period
 from pellkit.pell import PellCertificate, _least_unit, _solve_by_convergents
 
@@ -102,16 +102,36 @@ def test_rd_unit_examples():
 
 
 def test_rd_unit_rejects_family_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rd_unit: D2MINUS1 requires even d >= 2$"):
         rd_unit("D2MINUS1", 3)  # odd d
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rd_unit: D2PLUS3 requires d divisible by 3$"):
         rd_unit("D2PLUS3", 4)  # 3 does not divide d
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rd_unit: D2PLUS3 requires d divisible by 3$"):
+        rd_unit("D2PLUS3", 0)  # 3 divides d, but d < 3
+    with pytest.raises(ValueError, match="^rd_unit: D2PLUS2 requires odd d >= 3$"):
         rd_unit("D2PLUS2", 4)  # even d
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rd_unit: D2MINUS2 requires odd d >= 3$"):
         rd_unit("D2MINUS2", 1)  # too small
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rd_unit: unknown family 'D2PLUS5'$"):
         rd_unit("D2PLUS5", 3)  # no such family
+
+
+def test_rd_unit_is_the_least_plus_one_solution():
+    # the closed form against the PQa read of sqrt(m), for every admitted
+    # d < 3000; every other d in [-2, 3000) is refused
+    admitted = {"F1": range(2, 3000, 2), "F2": range(3, 3000, 3),
+                "F3": range(3, 3000, 2), "F4": range(3, 3000, 2)}
+    assert sum(map(len, admitted.values())) == 5496
+    for family, ds in admitted.items():
+        spec = family_spec(family)
+        for d in range(-2, 3000):
+            if d not in ds:
+                with pytest.raises(ValueError):
+                    rd_unit(spec.rd_family, d)
+                continue
+            u = rd_unit(spec.rd_family, d)
+            assert u.m == d * d + spec.r and u.denom == 1
+            assert (u.a, u.b) == pell_fundamental(u.m), (family, d)
 
 
 def test_unit_norm_examples():
