@@ -3,17 +3,19 @@ primitive indefinite binary quadratic forms and their rho-cycles.
 
 The reduced forms of discriminant D are (+-a, b, -+c) with 0 < b < sqrt(D),
 |sqrt(D) - 2a| < b and b^2 - 4ac = D, so b is a square root of D modulo 4a.
-They are enumerated from those roots: for each a up to a bound, factored by
-a smallest-prime-factor sieve, the roots modulo each prime power of 4a
-are combined by CRT into the roots modulo 2a, and each root class meets
-the reduction window at most once.  Every prime-power root comes from
-intkit._sqrt_mod_prime_power, the one modular square-root routine that
-LMM (pell._solve_by_lmm) uses too.  An a with a rootless prime power is
-skipped before it is factored, so the work follows the number of roots, not
-D.  The sieve reads off which prime powers have roots from one Euler power
-D^((p-1)/2) mod p per odd prime p: 1 when p splits, p - 1 when it is inert,
-0 when it divides D.  The roots modulo p^e of an odd p not dividing D are
-taken only when the first a divisible by exactly p^e is reached.
+They are enumerated from those roots: for each a up to a bound, factored
+off the least prime factors of the process's one prime table
+(intkit._prime_table), which no D changes, the roots modulo each prime
+power of 4a are combined by CRT into the roots modulo 2a, and each root
+class meets the reduction window at most once.  Every prime-power root
+comes from intkit._sqrt_mod_prime_power, the one modular square-root
+routine that LMM (pell._solve_by_lmm) uses too.  An a with a rootless
+prime power is skipped before it is factored, so the work follows the
+number of roots, not D.  The residue sieve reads off which prime powers
+have roots from one Euler power D^((p-1)/2) mod p per odd prime p of the
+table: 1 when p splits, p - 1 when it is inert, 0 when it divides D.  The
+roots modulo p^e of an odd p not dividing D are taken only when the first
+a divisible by exactly p^e is reached.
 
 The rho-cycles of discriminant D are the narrow classes.  The mirror
 sigma: (L, b, C) -> (-L, b, -C) commutes with the rho step, so it maps
@@ -112,19 +114,23 @@ at the reduction-window boundary can silently merge or split cycles.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, compress, cycle
+from itertools import chain, compress, cycle, takewhile
 from math import gcd
-from operator import not_
 
 from ._records import record
-from .intkit import _require_squarefree, _sqrt_mod_prime_power, isqrt, squarefree_core
+from .intkit import (_prime_table, _require_squarefree, _sqrt_mod_prime_power, isqrt,
+                     squarefree_core)
 
-# Largest isqrt(D) whose class number is computed.  The sieve holds
+# Largest isqrt(D) whose class number is computed.  The residue sieve holds
 # _seed_bound(D) entries, isqrt(D // 9) for all but a few D, and the struck
 # seeds grow with it: at the limit (D near 4*10^12) a class number took
-# 0.7-0.9 s and 101 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
-# and anything larger is refused before either is allocated.
+# 0.7-0.8 s and 102 MiB of peak memory on a 2-vCPU VM under CPython 3.11,
+# and anything larger is refused before either is allocated.  The prime
+# table of intkit stays at the largest seed bound reached; it grows by
+# doubling no further than _MAX_SEED, where it holds 9.3 MiB.
 MAX_ROOT_D = 2_000_000
+# The largest _seed_bound(D) with isqrt(D) <= MAX_ROOT_D: isqrt(D // 5).
+_MAX_SEED = isqrt(((MAX_ROOT_D + 1) ** 2 - 1) // 5)[0]
 
 
 # Doubles a row of _residue_sieve.  A seed a <= MAX_ROOT_D / 2 <
@@ -135,8 +141,10 @@ _DOUBLE = bytes(min(2 * n, 255) for n in range(256))
 
 def _residue_sieve(D: int, amax: int) -> tuple[list[int], list[int],
                                                dict[int, list[int]]]:
-    """(spf, seeds, roots) for 0 <= a <= amax.  spf[a] is the least prime
-    factor of a composite a and 0 otherwise.  seeds[a] is rho(a), the number
+    """(spf, seeds, roots) for 0 <= a <= amax.  spf is the least prime
+    factor list of the shared prime table, intkit._prime_table, at least
+    amax + 1 long and not to be changed: spf[a] is the least prime factor
+    of a composite a and 0 otherwise.  seeds[a] is rho(a), the number
     of root classes modulo 2a of x^2 = D (mod 4a), for a fundamental D; for
     any D it is 0 exactly when there is no root, and seeds[0] = 0.  For 2
     and for each prime p dividing D, roots holds the levels q = p^e <= amax,
@@ -147,13 +155,13 @@ def _residue_sieve(D: int, amax: int) -> tuple[list[int], list[int],
     at each level up to a's power of p at which the number of classes
     rises, and is 0 when one level has no classes.  An odd p not dividing D
     has 1 + (D/p) classes at every level, so seeds needs only its Legendre
-    symbol, and its roots are left to _reduced_triples."""
-    spf = [0] * (amax + 1)
-    for p in range(isqrt(amax)[0], 1, -1):  # the least prime factor writes last
-        spf[p * p::p] = [p] * len(range(p * p, amax + 1, p))
+    symbol, and its roots are left to _reduced_triples.  Only the Euler
+    powers, the doubling of rows and the levels of 2 and of the primes
+    dividing D are work done per D."""
+    spf, primes = _prime_table(amax, _MAX_SEED)
+    primes = list(takewhile(amax.__ge__, primes))
     seeds = bytearray(b"\x00" + b"\x01" * amax)
     roots = {}
-    primes = list(compress(range(3, amax + 1, 2), map(not_, spf[3::2])))
     # Euler's criterion, one power per prime: 1 split, p - 1 inert, 0 ramified
     for p, euler in chain(((2, 0),), zip(primes, [pow(D, p >> 1, p) for p in primes])):
         if euler == 0:

@@ -22,7 +22,7 @@ from .classgroup import _class_number
 from .families import FAMILY_IDS, gen_members, reproduce_table, verify_member
 from .intkit import FactorizationIncompleteError, factorize, squarefree_core
 from .published_tables import TABLES
-from .pell import brute_force_solve, fundamental_unit, solve_pm_N
+from .pell import _fundamental_unit, brute_force_solve, solve_pm_N
 
 FORMATS = ("human", "csv", "json", "markdown")
 
@@ -165,7 +165,7 @@ def _cmd_solve(args, fmt: str) -> int:
 
 def _cmd_unit(args, fmt: str) -> int:
     core, is_sf = _field_core("unit", args.m)
-    u = fundamental_unit(core)
+    u = _fundamental_unit(core)
     obj = {"m": args.m, "core": core, "a": u.a, "b": u.b, "denom": u.denom,
            "norm": u.norm}
     lines = []

@@ -9,6 +9,14 @@ division by small primes, then Brent's rho with fixed starts) certifies every
 prime factor that way.  It completes exactly for every n whose prime factors
 lie below MR_VALID_BELOW, and raises for any other.
 
+The process has one prime table: the least prime factor of every n below
+its size, and the odd primes in order.  It is built at import to
+_TRIAL_LIMIT, whose primes are factorize's trial divisors, and it grows on
+demand through _prime_table, at least doubling up to a cap the caller
+gives, to cover the rows of the class-number enumeration in classgroup.
+Nothing in it depends on a discriminant, so every class number in the
+process shares it.
+
 Square roots modulo n have one layer: _sqrt_mod_prime (Tonelli-Shanks) under
 _sqrt_mod_prime_power (Newton's iteration), under _sqrt_mod (CRT).  LMM in
 pell takes its roots from _sqrt_mod, and the class-number enumeration in
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
+from operator import not_
 
 from ._records import record
 
@@ -101,19 +110,38 @@ class Factorization(record("Factorization", "value factors")):
         return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
 
 
-def _primes_below(n: int) -> tuple[int, ...]:
-    sieve = bytearray(b"\x01") * n
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n - 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
-    return tuple(compress(range(n), sieve))
+def _least_prime_factors(size: int) -> tuple[list[int], list[int]]:
+    """(spf, primes) below size: spf[n] is the least prime factor of a
+    composite n and 0 otherwise, and primes lists the odd primes in order."""
+    spf = [0] * size
+    for p in range(math.isqrt(size - 1), 1, -1):  # the least prime factor writes last
+        spf[p * p::p] = [p] * len(range(p * p, size, p))
+    return spf, list(compress(range(3, size, 2), map(not_, spf[3::2])))
 
 
 # Trial division runs over the primes below _TRIAL_LIMIT; a factor below
 # _TRIAL_LIMIT^2 with none of them as a divisor is a prime.
 _TRIAL_LIMIT = 1 << 10
-_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
+# The process's one prime table, (spf, primes) of _least_prime_factors.
+# _prime_table replaces it with one assignment and nothing changes it in
+# place, so a reader holds a whole table that stays valid after a growth.
+_PRIME_TABLE = _least_prime_factors(_TRIAL_LIMIT)
+_SMALL_PRIMES = (2, *_PRIME_TABLE[1])
+
+
+def _prime_table(n: int, most: int) -> tuple[list[int], list[int]]:
+    """The prime table, (spf, primes) of _least_prime_factors, covering
+    0 <= a <= n.  A table too small for n is rebuilt first, at least twice
+    as large, but past most only as far as n.  Neither list may be changed:
+    every caller shares them."""
+    global _PRIME_TABLE
+    table = _PRIME_TABLE
+    size = len(table[0])
+    if size <= n:
+        table = _PRIME_TABLE = _least_prime_factors(max(n + 1, min(2 * size, most + 1)))
+    return table
+
+
 _RHO_BATCH = 128  # rho differences multiplied together per gcd
 
 

@@ -179,6 +179,12 @@ def fundamental_unit(m: int) -> QuadraticInteger:
     square-free m >= 2: the first return of Q to q0 in the expansion of
     (q0 - 1 + sqrt(m))/q0, with q0 = 2 for m = 1 (mod 4) and 1 otherwise."""
     _require_squarefree(m, "fundamental_unit")
+    return _fundamental_unit(m)
+
+
+def _fundamental_unit(m: int) -> QuadraticInteger:
+    # m is square-free and >= 2: callers that hold m from squarefree_core
+    # come here directly instead of factorizing it again.
     q0 = 2 if m % 4 == 1 else 1
     g, b, _ = _least_unit(m, q0 - 1, q0)
     return QuadraticInteger.make(g, b, m, q0)

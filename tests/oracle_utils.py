@@ -1,9 +1,10 @@
 """Shared oracle helpers: everything here is independent of the machinery it
 is used to check."""
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import compress
 from math import gcd, isqrt
 
 from pellkit import (Factorization, FactorizationIncompleteError, PellCertificate,
@@ -123,48 +124,64 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-# Gaps between the numbers prime to 30, from 7 on: 7, 11, 13, ..., 29, 31, 37
-_WHEEL_30 = (4, 2, 4, 2, 4, 6, 2, 6)
+# Trial divisors of reference_factorize: every prime below it
+_TRIAL_BOUND = 10_000_000
 
 
-def reference_factorize(n: int, trial_bound: int = 10_000_000) -> Factorization:
-    """Exact factorization by trial division up to `trial_bound`, with the
-    cofactor certified prime by is_prime.  Raises
+@functools.cache
+def _trial_primes() -> list[int]:
+    """The primes below _TRIAL_BOUND, by a sieve of Eratosthenes on a
+    bytearray, once per process."""
+    sieve = bytearray([1]) * _TRIAL_BOUND
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, isqrt(_TRIAL_BOUND - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, _TRIAL_BOUND, p)))
+    return list(compress(range(_TRIAL_BOUND), sieve))
+
+
+def reference_factorize(n: int) -> Factorization:
+    """Exact factorization by trial division by the primes below
+    _TRIAL_BOUND, with the cofactor certified prime by is_prime.  Raises
     FactorizationIncompleteError instead of guessing.  For n < 10^14 the
-    default bound is never reached, so this is trial division to sqrt(n).
-    After 2, 3 and 5 the trial divisors are the numbers prime to 30.
+    bound is never reached, so this is trial division to sqrt(n).
     """
     if n < 1:
         raise ValueError("factorize: n must be >= 1")
-    bound = trial_bound
     value = n
     factors = []
-    for p in (2, 3, 5):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-    d, gaps = 7, cycle(_WHEEL_30)
-    while d * d <= n and d <= bound:
-        if n % d == 0:
+    for p in _trial_primes():
+        if p * p > n:
+            break
+        if n % p == 0:
             e = 0
-            while n % d == 0:
-                n //= d
+            while n % p == 0:
+                n //= p
                 e += 1
-            factors.append((d, e))
-        d += next(gaps)
+            factors.append((p, e))
     if n > 1:
-        if d * d > n:
+        if p * p > n:
             factors.append((n, 1))  # no factor <= sqrt(n): prime
         elif n < MR_VALID_BELOW and is_prime(n):
             factors.append((n, 1))
         else:
             raise FactorizationIncompleteError(
-                f"factorize: cofactor {n} not resolved with trial bound {bound}"
+                f"factorize: cofactor {n} not resolved with trial bound {_TRIAL_BOUND}"
             )
     return Factorization(value, tuple(factors))
+
+
+def reference_least_prime_factors(n: int) -> list[int]:
+    """[f(0), ..., f(n)], f(k) the least prime factor of a composite k and 0
+    for 0, 1 and every prime: each prime p, in ascending order, marks the
+    multiples of p from p^2 that no smaller prime has marked."""
+    spf = [0] * (n + 1)
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == 0:
+            for k in range(p * p, n + 1, p):
+                if spf[k] == 0:
+                    spf[k] = p
+    return spf
 
 
 def primitive_brute_force(m: int, N: int, y_max: int) -> list[tuple[int, int]]:

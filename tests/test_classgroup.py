@@ -537,6 +537,21 @@ def test_class_number_enumerates_only_the_small_seeds(monkeypatch):
         assert asked == [(D, _seed_bound(D))] == [(D, isqrt(D // n)[0])], m
 
 
+def test_class_walks_do_not_depend_on_the_prime_table_size(monkeypatch):
+    # the walks read the least prime factors and the odd primes of a table
+    # that other class numbers grow; a table grown first by m = 10^9 + 7
+    # (seed bound 21081) gives every small m the same class data
+    import pellkit.intkit
+    ms = [m for m in range(2, 3000) if squarefree_core(m)[1]]
+    fresh = pellkit.intkit._least_prime_factors(pellkit.intkit._TRIAL_LIMIT)
+    monkeypatch.setattr(pellkit.intkit, "_PRIME_TABLE", fresh)
+    small = [_class_walks(m) for m in ms]
+    assert pellkit.intkit._PRIME_TABLE is fresh
+    _class_walks(10**9 + 7)
+    assert len(pellkit.intkit._PRIME_TABLE[0]) > _seed_bound(4 * (10**9 + 7)) == 21081
+    assert [_class_walks(m) for m in ms] == small
+
+
 def test_class_data_invariant():
     with pytest.raises(ValueError):
         ClassData(3, 12, 2, 2, 1)  # +1 norm needs h_narrow == 2*h_wide

@@ -182,6 +182,22 @@ def test_classno_factorizes_m_once(capsys, monkeypatch):
         assert calls == [m]
 
 
+def test_unit_factorizes_m_once(capsys, monkeypatch):
+    import pellkit.intkit
+    real = pellkit.intkit.factorize
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+    monkeypatch.setattr(pellkit.intkit, "factorize", counting)
+    for m, core in ((1596, 399), (399, 399), (443, 443)):
+        calls.clear()
+        rc, out, _ = run_cli(capsys, "unit", str(m), "--format", "json")
+        assert rc == 0 and json.loads(out)["core"] == core
+        assert calls == [m]
+
+
 def test_classno_trivial_and_errors(capsys):
     rc, out, _ = run_cli(capsys, "classno", "2")
     assert rc == 0 and out.startswith("h=1 ")

@@ -3,12 +3,13 @@ import time
 
 import pytest
 
+from pellkit import intkit
 from pellkit import (Factorization, FactorizationIncompleteError, factorize, gcd,
                      is_prime, isqrt, jacobi, squarefree_core)
 from pellkit.intkit import (MR_VALID_BELOW, _sqrt_mod, _sqrt_mod_prime,
                             _sqrt_mod_prime_power)
 
-from oracle_utils import euler_phi, reference_factorize
+from oracle_utils import euler_phi, reference_factorize, reference_least_prime_factors
 
 
 def test_isqrt_examples():
@@ -110,6 +111,40 @@ def test_factorize_matches_trial_division_random():
     for _ in range(2000):
         n = rng.randrange(1, 10**14)
         assert factorize(n).factors == reference_factorize(n).factors, n
+
+
+def _assert_prime_table_is_the_reference(n):
+    spf, primes = intkit._PRIME_TABLE
+    assert len(spf) > n
+    reference = reference_least_prime_factors(len(spf) - 1)
+    assert spf == reference
+    assert primes == [k for k in range(3, len(spf), 2) if reference[k] == 0]
+
+
+@pytest.mark.parametrize("asks", [
+    [(3000, 10**6), (70000, 10**6)],  # small, then large
+    [(70000, 10**6), (3000, 10**6)],  # large, then small: no growth
+    [(1500, 10**6), (2100, 10**6), (2300, 10**6)],  # doubling past the asks
+    [(1500, 1800), (1900, 1800)],  # doubling stops at most, unless n is past it
+    [(99991, 10**6)],  # no power of 2
+])
+def test_the_prime_table_grows_to_the_reference(asks, monkeypatch):
+    monkeypatch.setattr(intkit, "_PRIME_TABLE",
+                        intkit._least_prime_factors(intkit._TRIAL_LIMIT))
+    _assert_prime_table_is_the_reference(intkit._TRIAL_LIMIT - 1)
+    for n, most in asks:
+        size = len(intkit._PRIME_TABLE[0])
+        table = intkit._prime_table(n, most)
+        assert table is intkit._PRIME_TABLE
+        grown = max(n + 1, min(2 * size, most + 1)) if size <= n else size
+        assert len(table[0]) == grown, (n, most, size)
+        _assert_prime_table_is_the_reference(n)
+
+
+def test_the_small_primes_are_the_primes_below_the_trial_limit():
+    reference = reference_least_prime_factors(1023)
+    assert intkit._TRIAL_LIMIT == 1024
+    assert intkit._SMALL_PRIMES == tuple(k for k in range(2, 1024) if reference[k] == 0)
 
 
 def _assert_certified(n, fac):

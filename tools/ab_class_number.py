@@ -17,11 +17,17 @@ alternating which version goes first:
 * large, with --large only: m = 10**12 + 39, next to the enumeration limit
   (isqrt(D) = 2*10^6), and m = 10**11 + 3: about 2 s a round for both
 
-Both versions must return the same class data for every m.  Prints, per
-list, the median HEAD/BASE time ratio and its interquartile range over the
-rounds.  Timing both versions in one process, interleaved, removes the
-machine's drift between separate runs, which can exceed the effect being
-measured; it is no substitute for bench/run.py's end-to-end runs.
+Before round 1, each version runs each list once, untimed: that checks
+that both return the same class data for every m, and it grows the prime
+table of intkit that the versions share (intkit._prime_table) to the
+largest seed bound of the list, so that no timed round pays to build it.
+Prints, per list, the median HEAD/BASE time ratio and its interquartile
+range over the rounds.  Timing both versions in one process, interleaved,
+removes the machine's drift between separate runs, which can exceed the
+effect being measured; it is no substitute for bench/run.py's end-to-end
+runs.  Only classgroup.py differs between the two: a change to intkit,
+such as to how the prime table is built or grown, is invisible here and
+needs alternating bench/run.py pairs of the two commits.
 """
 
 from __future__ import annotations
@@ -115,7 +121,7 @@ def main() -> None:
     if args.large:
         lists["large"] = LARGE
     ratios = {name: [] for name in lists}
-    for name, ms in lists.items():  # warm up and check once
+    for name, ms in lists.items():  # untimed: check, and grow the prime table
         base, head = (run(v, ms)[1] for v in versions)
         mismatch = next((b for b, h in zip(base, head) if b != h), None)
         if mismatch:
