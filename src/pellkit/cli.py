@@ -37,7 +37,7 @@ def _token(value) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "none"
-        if value and isinstance(value[0], (list, tuple)):
+        if isinstance(value[0], (list, tuple)):
             return ";".join(f"{x}:{y}" for x, y in value)
         return ";".join(str(v) for v in value)
     return str(value)
@@ -45,34 +45,6 @@ def _token(value) -> str:
 
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
-
-
-def _emit_csv(rows: list[dict]) -> None:
-    keys = list(rows[0].keys()) if rows else []
-    sys.stdout.write(",".join(keys) + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(_token(row[k]) for k in keys) + "\n")
-
-
-def _emit_markdown(rows: list[dict]) -> None:
-    if not rows:
-        return
-    keys = list(rows[0].keys())
-    sys.stdout.write("| " + " | ".join(keys) + " |\n")
-    sys.stdout.write("|" + "|".join(" --- " for _ in keys) + "|\n")
-    for row in rows:
-        sys.stdout.write("| " + " | ".join(_token(row[k]) for k in keys) + " |\n")
-
-
-def _emit_human_table(rows: list[dict]) -> None:
-    if not rows:
-        return
-    keys = list(rows[0].keys())
-    cells = [[_token(row[k]) for k in keys] for row in rows]
-    widths = [max(len(k), *(len(c[i]) for c in cells)) for i, k in enumerate(keys)]
-    sys.stdout.write("  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip() + "\n")
-    for c in cells:
-        sys.stdout.write("  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip() + "\n")
 
 
 def _emit_object(obj: dict, fmt: str, human: str) -> None:
@@ -86,33 +58,49 @@ def _emit_object(obj: dict, fmt: str, human: str) -> None:
 
 
 def _emit_rows(rows: list[dict], fmt: str) -> None:
-    """Row-stream commands: json object with a "rows" array."""
-    if fmt == "human":
-        _emit_human_table(rows)
-    elif fmt == "json":
+    """Row-stream commands: json object with a "rows" array.  csv, markdown
+    and the human table join one grid, the keys over each row's cells; with
+    no rows, csv prints its empty header line and the others print nothing."""
+    if fmt == "json":
         _emit_json({"rows": rows})
-    elif fmt == "csv":
-        _emit_csv(rows)
+        return
+    if not rows and fmt != "csv":
+        return
+    keys = list(rows[0]) if rows else []
+    grid = [keys, *([_token(row[k]) for k in keys] for row in rows)]
+    if fmt == "csv":
+        lines = [",".join(cells) for cells in grid]
+    elif fmt == "markdown":
+        grid.insert(1, ["---"] * len(keys))
+        lines = ["| " + " | ".join(cells) + " |" for cells in grid]
     else:
-        _emit_markdown(rows)
+        widths = [max(map(len, column)) for column in zip(*grid)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+                 for cells in grid]
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
-def _core_note(m: int, core: int, noun: str) -> str:
-    square_part = factorize(m // core)
-    return f"{m} = {square_part}*{core}; {noun} computed for {core}"
+def _emit_field(obj: dict, fmt: str, noun: str, human: str) -> None:
+    """`unit` and `classno`: human output first notes the square part of m,
+    when m is not its core.  The note factorizes m // core, so only human
+    output computes it."""
+    m, core = obj["m"], obj["core"]
+    if fmt == "human" and m != core:
+        human = f"{m} = {factorize(m // core)}*{core}; {noun} computed for {core}\n{human}"
+    _emit_object(obj, fmt, human)
 
 
 # --------------------------------------------------------------- subcommands
 
-def _field_core(command: str, m: int) -> tuple[int, bool]:
-    """The square-free core of m and whether m is square-free; `unit` and
-    `classno` refuse m < 2 and perfect squares."""
+def _field_core(command: str, m: int) -> int:
+    """The square-free core of m; `unit` and `classno` refuse m < 2 and
+    perfect squares."""
     if m < 2:
         raise ValueError(f"{command}: m must be >= 2")
-    core, is_sf = squarefree_core(m)
+    core = squarefree_core(m)[0]
     if core < 2:
         raise ValueError(f"{command}: m must not be a perfect square")
-    return core, is_sf
+    return core
 
 
 def _cmd_cf(args, fmt: str) -> int:
@@ -164,29 +152,22 @@ def _cmd_solve(args, fmt: str) -> int:
 
 
 def _cmd_unit(args, fmt: str) -> int:
-    core, is_sf = _field_core("unit", args.m)
+    core = _field_core("unit", args.m)
     u = _fundamental_unit(core)
     obj = {"m": args.m, "core": core, "a": u.a, "b": u.b, "denom": u.denom,
            "norm": u.norm}
-    lines = []
-    if not is_sf and fmt == "human":  # the note factorizes m // core
-        lines.append(_core_note(args.m, core, "unit"))
-    lines.append(f"fundamental unit of Q(sqrt({core})) = {u}, norm {u.norm:+d}")
-    _emit_object(obj, fmt, "\n".join(lines))
+    _emit_field(obj, fmt, "unit",
+                f"fundamental unit of Q(sqrt({core})) = {u}, norm {u.norm:+d}")
     return 0
 
 
 def _cmd_classno(args, fmt: str) -> int:
-    core, is_sf = _field_core("classno", args.m)
+    core = _field_core("classno", args.m)
     data = _class_number(core)
     obj = {"m": args.m, "core": core, "D": data.D, "h": data.h_wide,
            "h_narrow": data.h_narrow, "unit_norm": data.unit_norm}
-    lines = []
-    if not is_sf and fmt == "human":  # the note factorizes m // core
-        lines.append(_core_note(args.m, core, "h"))
-    lines.append(f"h={data.h_wide} (h_narrow={data.h_narrow}, "
-                 f"unit norm {data.unit_norm:+d}, D={data.D})")
-    _emit_object(obj, fmt, "\n".join(lines))
+    _emit_field(obj, fmt, "h", f"h={data.h_wide} (h_narrow={data.h_narrow}, "
+                               f"unit norm {data.unit_norm:+d}, D={data.D})")
     return 0
 
 
@@ -195,18 +176,9 @@ def _cmd_verify(args, fmt: str) -> int:
                           require_congruence=args.congruence,
                           allow_n0=args.allow_n0)
     rows = []
-    upheld = exceptions = violations = class_skipped = 0
     class_numbers = {}  # m -> h_wide for this run only: m repeats across (p, n)
     for member in members:
         report = verify_member(member, class_numbers)
-        if report.theorem_upheld:
-            upheld += 1
-            if report.is_exception:
-                exceptions += 1
-        else:
-            violations += 1
-        if report.h_wide is None:
-            class_skipped += 1
         rows.append({
             "family": member.family, "p": member.p, "n": member.n,
             "d": member.d, "m": member.m,
@@ -220,8 +192,12 @@ def _cmd_verify(args, fmt: str) -> int:
             "h_gt_1": report.class_conclusion,
         })
     _emit_rows(rows, fmt)
-    print(f"members={len(members)} upheld={upheld} exceptions={exceptions} "
-          f"violations={violations} class_skipped={class_skipped}", file=sys.stderr)
+    upheld = [row for row in rows if row["upheld"]]
+    violations = len(rows) - len(upheld)
+    print(f"members={len(rows)} upheld={len(upheld)} "
+          f"exceptions={sum(row['exception'] for row in upheld)} "
+          f"violations={violations} "
+          f"class_skipped={sum(row['h'] is None for row in rows)}", file=sys.stderr)
     return 3 if violations else 0
 
 

@@ -104,7 +104,7 @@ def gen_members(family: str, p_max: int, n_max: int,
     admitted for F3/F4 only via allow_n0), every flag computed, none assumed.
     Members whose m is not square-free are included but flagged."""
     if p_max < 1 or n_max < 0:
-        raise ValueError("gen_members: bounds must be positive")
+        raise ValueError("gen_members: p_max must be >= 1 and n_max >= 0")
     spec = family_spec(family)
     n_step = 3 if spec.n_multiple_of_3 else 1
     n_start = 0 if allow_n0 and spec.odd_d else n_step

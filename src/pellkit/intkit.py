@@ -114,8 +114,12 @@ def _least_prime_factors(size: int) -> tuple[list[int], list[int]]:
     """(spf, primes) below size: spf[n] is the least prime factor of a
     composite n and 0 otherwise, and primes lists the odd primes in order."""
     spf = [0] * size
-    for p in range(math.isqrt(size - 1), 1, -1):  # the least prime factor writes last
-        spf[p * p::p] = [p] * len(range(p * p, size, p))
+    root = math.isqrt(size - 1)
+    if root > 1:
+        # the primes up to root come from a smaller table, and run in
+        # descending order so that the least prime factor writes last
+        for p in (*reversed(_least_prime_factors(root + 1)[1]), 2):
+            spf[p * p::p] = [p] * len(range(p * p, size, p))
     return spf, list(compress(range(3, size, 2), map(not_, spf[3::2])))
 
 

@@ -348,6 +348,25 @@ def test_format_contents_agree_across_renderings(capsys):
     assert len(csv_out.strip().splitlines()) == len(rows) + 1
 
 
+def test_renderer_edge_bytes(capsys):
+    # a row command with no rows, and a one-row object with a square part
+    empty = {"human": "", "csv": "\n", "json": '{"rows":[]}\n', "markdown": ""}
+    for fmt, expected in empty.items():
+        rc, out, err = run_cli(capsys, "verify", "F1", "--pmax", "1", "--format", fmt)
+        assert (rc, out) == (0, expected), fmt
+        assert err == "members=0 upheld=0 exceptions=0 violations=0 class_skipped=0\n"
+    one_row = {
+        "csv": "m,core,D,h,h_narrow,unit_norm\n7227,803,3212,2,4,1\n",
+        "markdown": ("| m | core | D | h | h_narrow | unit_norm |\n"
+                     "| --- | --- | --- | --- | --- | --- |\n"
+                     "| 7227 | 803 | 3212 | 2 | 4 | 1 |\n"),
+        "human": ("7227 = 3^2*803; h computed for 803\n"
+                  "h=2 (h_narrow=4, unit norm +1, D=3212)\n"),
+    }
+    for fmt, expected in one_row.items():
+        assert run_cli(capsys, "classno", "7227", "--format", fmt) == (0, expected, ""), fmt
+
+
 def test_no_command_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2

@@ -58,8 +58,10 @@ def test_gen_members_is_sorted_and_validates():
     assert members == sorted(members, key=lambda m: (m.p, m.n))
     with pytest.raises(ValueError):
         gen_members("F9", 10, 2)
-    with pytest.raises(ValueError):
-        gen_members("F1", 0, 2)
+    for p_max, n_max in ((0, 2), (10, -1)):
+        with pytest.raises(ValueError, match=r"p_max must be >= 1 and n_max >= 0"):
+            gen_members("F1", p_max, n_max)
+    assert gen_members("F1", 10, 0) == []
 
 
 def _docstring_members(family, p_max, n_max, require_congruence, allow_n0):
